@@ -32,6 +32,7 @@ func TestFig3ShapeAtLowLoss(t *testing.T) {
 		t.Fatalf("fast raft should degrade with loss: 0%%=%s 5%%=%s",
 			rows[0].FastRaft.Mean, rows[1].FastRaft.Mean)
 	}
+	checkGolden(t, "fig3", goldenFig3(rows))
 	var sb strings.Builder
 	PrintFig3(&sb, rows)
 	if !strings.Contains(sb.String(), "Figure 3") {
@@ -66,6 +67,7 @@ func TestFig4SilentLeaveShape(t *testing.T) {
 		t.Fatalf("latency should recover after reconfiguration: before=%s after=%s",
 			res.Before.Mean, res.After.Mean)
 	}
+	checkGolden(t, "fig4", goldenFig4(res))
 	var sb strings.Builder
 	PrintFig4(&sb, res)
 	if !strings.Contains(sb.String(), "Figure 4") {
@@ -96,6 +98,7 @@ func TestFig5ShapeSmall(t *testing.T) {
 	if rows[1].Speedup < 1.5 {
 		t.Fatalf("c-raft should clearly beat raft at 4 geo clusters: %.2fx", rows[1].Speedup)
 	}
+	checkGolden(t, "fig5", goldenFig5(rows))
 	var sb strings.Builder
 	PrintFig5(&sb, rows)
 	if !strings.Contains(sb.String(), "Figure 5") {
@@ -111,6 +114,7 @@ func TestAblationFastTrack(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("want 2 variants, got %d", len(rows))
 	}
+	checkGolden(t, "ablation_fasttrack", goldenFastTrack(rows))
 	if rows[0].Latency.Mean >= rows[1].Latency.Mean {
 		t.Fatalf("fast track should reduce latency: on=%s off=%s",
 			rows[0].Latency.Mean, rows[1].Latency.Mean)
@@ -125,6 +129,7 @@ func TestAblationHeartbeatScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ablation_heartbeat", goldenHeartbeat(rows))
 	if rows[1].FastRaft.Mean <= rows[0].FastRaft.Mean {
 		t.Fatalf("latency should scale with heartbeat: 50ms=%s 200ms=%s",
 			rows[0].FastRaft.Mean, rows[1].FastRaft.Mean)
@@ -145,6 +150,7 @@ func TestAblationBatchSizeRuns(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rows))
 	}
+	checkGolden(t, "ablation_batch", goldenBatch(rows))
 	for _, r := range rows {
 		if r.PerSec <= 0 {
 			t.Fatalf("batch=%d produced no throughput", r.BatchSize)

@@ -1,7 +1,10 @@
 // Package bench implements the paper's evaluation: one experiment per
 // figure, each built from the simulation harness, plus the ablations listed
 // in DESIGN.md. Every experiment returns structured rows and can print the
-// same table/series the paper reports.
+// same table/series the paper reports. The figure experiments run their
+// clusters on the paper's round model (harness.Options.Paced), where
+// leaders act only at the heartbeat tick, and their exact outputs are
+// pinned by the golden files in testdata.
 package bench
 
 import (
@@ -110,6 +113,7 @@ func fig3Trial(opts Fig3Options, kind harness.Kind, lossPct float64, seed int64)
 		LossProb:          lossPct / 100,
 		HeartbeatInterval: opts.Heartbeat,
 		DisableFastTrack:  opts.DisableFastTrack,
+		Paced:             true,
 		Audit:             harness.AuditOff,
 	})
 	if err != nil {

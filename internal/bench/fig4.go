@@ -75,6 +75,7 @@ func Fig4SilentLeave(opts Fig4Options) (Fig4Result, error) {
 		Seed:                opts.Seed,
 		LossProb:            opts.LossPercent / 100,
 		MemberTimeoutRounds: opts.MemberTimeoutRounds,
+		Paced:               true,
 		Audit:               harness.AuditOff,
 	})
 	if err != nil {

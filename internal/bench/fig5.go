@@ -149,6 +149,7 @@ func fig5RaftTrial(opts Fig5Options, n int, seed int64) (float64, error) {
 		ElectionTimeoutMin: time.Second,
 		ElectionTimeoutMax: 2 * time.Second,
 		ProposalTimeout:    3 * time.Second,
+		Paced:              true,
 		Audit:              harness.AuditOff,
 	})
 	if err != nil {
@@ -187,6 +188,7 @@ func fig5CraftTrial(opts Fig5Options, n int, seed int64) (float64, error) {
 		Clusters:  specs,
 		Seed:      seed,
 		BatchSize: opts.BatchSize,
+		Paced:     true,
 		Audit:     harness.AuditOff,
 	})
 	if err != nil {

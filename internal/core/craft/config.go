@@ -99,6 +99,9 @@ type Config struct {
 	SessionTTL time.Duration
 	// DisableFastTrack forces the classic track at both levels (ablation).
 	DisableFastTrack bool
+	// Paced keeps the paper's round model at both levels (see
+	// fastraft.Config.Paced); the virtual-time paper figures run paced.
+	Paced bool
 	// Rand drives randomized timeouts; required for deterministic
 	// simulation.
 	Rand *rand.Rand

@@ -172,6 +172,7 @@ func New(cfg Config) (*Node, error) {
 		MaxInflightProposalBytes: cfg.MaxInflightProposalBytes,
 		SessionTTL:               cfg.SessionTTL,
 		DisableFastTrack:         cfg.DisableFastTrack,
+		Paced:                    cfg.Paced,
 		Rand:                     cfg.Rand,
 		Layer:                    types.LayerLocal,
 		Recorder:                 cfg.Recorder,
@@ -547,6 +548,7 @@ func (n *Node) startGlobal(now time.Duration) {
 		MaxInflightAppends:  n.cfg.MaxInflightAppends,
 		MaxInflightBytes:    n.cfg.MaxInflightBytes,
 		DisableFastTrack:    n.cfg.DisableFastTrack,
+		Paced:               n.cfg.Paced,
 		Rand:                n.cfg.Rand,
 		Layer:               types.LayerGlobal,
 		Recorder:            gRec,

@@ -100,6 +100,13 @@ type Config struct {
 	// DisableFastTrack forces every decided entry onto the classic track;
 	// used by the ablation benchmarks.
 	DisableFastTrack bool
+	// Paced keeps the paper's round model: the leader decides, commits,
+	// replicates and confirms reads only at its heartbeat tick. Without it
+	// the leader also reacts to each vote, ack, durability advance,
+	// proposal and read as it arrives, and the tick is left with liveness,
+	// lease renewal, membership and retransmission. The virtual-time paper
+	// figures and ablations run paced.
+	Paced bool
 	// AutoRejoin makes a live site that discovers it was removed from the
 	// configuration (e.g. a mistaken silent-leave detection) send join
 	// requests to return. Enabled by default through Defaults.

@@ -69,6 +69,7 @@ func (n *Node) ProposeEntryPID(now time.Duration, e types.Entry, pid types.Propo
 		return pid
 	}
 	n.admitProposal(p)
+	n.react()
 	return pid
 }
 
@@ -154,8 +155,8 @@ func (n *Node) broadcastProposal(p *pendingProposal) {
 		idx = n.commitIndex + 1
 	}
 	for {
-		e, ok := n.log.Get(idx)
-		if !ok || e.PID == p.entry.PID {
+		pid, ok := n.log.ProposalAt(idx)
+		if !ok || pid == p.entry.PID {
 			break
 		}
 		idx++
@@ -230,9 +231,23 @@ func (n *Node) handleProposeLocally(m types.ProposeEntry) {
 		return
 	}
 	idx := m.Index
+	if n.role == types.RoleLeader && !n.cfg.Paced && n.cfg.Layer != types.LayerGlobal &&
+		idx <= n.log.LastLeaderIndex() {
+		// The slot is already decided for another entry, so no vote can
+		// win it for this one. Sequence it on the classic track now, as
+		// decide does with losers, instead of leaving its proposer to
+		// wait out a proposal timeout. Not on C-Raft's global layer: there
+		// it let the clusters' replayed global logs diverge under leader
+		// churn (TestPropertyCRaftSafetyUnderChurn), for a reason not yet
+		// found, so global batches keep the timeout.
+		if !n.proposalDecided(pid) {
+			n.appendLeaderEntry(m.Entry)
+			n.tally.NullProposal(m.Entry, 0)
+		}
+		return
+	}
 	if idx <= n.commitIndex {
-		// The slot is burned; the proposer will re-propose. Vote for the
-		// occupant anyway so the leader's tally sees us.
+		// The slot is burned; the proposer will re-propose.
 		return
 	}
 	if !n.log.Has(idx) {
@@ -303,8 +318,14 @@ func (n *Node) recordVote(from types.NodeID, m types.VoteEntry) {
 	// AppendEntries re-converges its log with the (possibly new) leader.
 	// The tracker ignores the reset while a snapshot transfer is pending —
 	// re-anchoring below the boundary would restart the stream every vote.
+	// An event-driven leader skips the reset for a peer that already acks
+	// appends: its log has converged with ours, and re-anchoring at every
+	// vote would resend the uncommitted suffix once per vote.
 	if from != n.cfg.ID {
-		n.progress.Ensure(from, m.CommitIndex+1).ResetNext(m.CommitIndex + 1)
+		pr := n.progress.Ensure(from, m.CommitIndex+1)
+		if n.cfg.Paced || pr.State() != replica.StateReplicate {
+			pr.ResetNext(m.CommitIndex + 1)
+		}
 	}
 }
 
@@ -317,13 +338,23 @@ func (n *Node) recordVote(from types.NodeID, m types.VoteEntry) {
 // of the commit point exactly as appends do in classic Raft; the losing
 // candidates at each index are re-sequenced at subsequent indices (the
 // leader's free choice) so their proposers don't stall.
-func (n *Node) decideLoop() {
-	cfg := n.Config()
+//
+// With settled set (an event-driven leader reacting to a vote) it decides
+// an index only once no further vote can change the result: every member
+// voted, or one candidate holds a fast quorum. Deciding at a bare classic
+// quorum would skip the fast track whenever one vote is still in flight,
+// which in a 3-node group is every time.
+func (n *Node) decideLoop(settled bool) {
+	cfg := n.log.ActiveConfig()
 	classicQ := quorum.ClassicSize(cfg.Size())
 	fastQ := quorum.FastSize(cfg.Size())
 	for {
 		k := n.log.LastLeaderIndex() + 1
-		if n.tally.Voters(k, cfg) < classicQ {
+		if settled {
+			if !n.tally.Settled(k, cfg, fastQ) {
+				return
+			}
+		} else if n.tally.Voters(k, cfg) < classicQ {
 			return
 		}
 		d, ok := n.tally.Decide(k, cfg, n.skipDecidedAt(k))
@@ -356,7 +387,7 @@ func (n *Node) decideLoop() {
 				return // committing a config entry removed this leader
 			}
 			n.tally.Clear(k)
-			cfg = n.Config()
+			cfg = n.log.ActiveConfig()
 			classicQ = quorum.ClassicSize(cfg.Size())
 			fastQ = quorum.FastSize(cfg.Size())
 		}
@@ -390,14 +421,40 @@ func (n *Node) appendLeaderEntryAt(idx types.Index, e types.Entry) {
 	}
 }
 
-// --- Leader tick -----------------------------------------------------------
+// --- Leader tick and events ------------------------------------------------
+
+// react is the event-driven leader's answer to a vote, an ack, a
+// durability advance, a proposal or a read: decide what is settled, advance
+// the commit index, release reads, then send each peer what the event made
+// sendable (replica.Tracker.Push). A paced leader does all of this at its
+// tick only. Any phase can demote the node, so leadership is re-checked.
+func (n *Node) react() {
+	if n.cfg.Paced || n.role != types.RoleLeader {
+		return
+	}
+	n.decideLoop(true)
+	if n.role != types.RoleLeader {
+		return
+	}
+	n.advanceClassicCommit()
+	if n.role != types.RoleLeader {
+		return
+	}
+	rc := n.round()
+	if n.readMgr != nil && n.readMgr.ReadRoundDue() {
+		rc.ReadCtx = n.readMgr.StampRound(n.now)
+	}
+	// After the stamp: a single-member group confirms its round at once.
+	n.reads.Flush(n.now)
+	n.progress.Push(n.appendTargets(), n.logView(), rc, n.outlet())
+}
 
 // leaderTick performs all periodic leader duties in the paper's order:
 // decide/commit evaluation, membership processing, then AppendEntries
 // dispatch. Any phase can demote the node (committing a configuration that
 // excludes it), so leadership is re-checked between phases.
 func (n *Node) leaderTick() {
-	n.decideLoop()
+	n.decideLoop(false)
 	if n.role != types.RoleLeader {
 		return
 	}
@@ -417,7 +474,7 @@ func (n *Node) leaderTick() {
 // advanceClassicCommit applies the classic-track commit rule over
 // matchIndex.
 func (n *Node) advanceClassicCommit() {
-	cfg := n.Config()
+	cfg := n.log.ActiveConfig()
 	classicQ := quorum.ClassicSize(cfg.Size())
 	for k := n.commitIndex + 1; k <= n.log.LastLeaderIndex(); k++ {
 		if n.log.Term(k) != n.term {
@@ -435,7 +492,7 @@ func (n *Node) advanceClassicCommit() {
 		n.tally.Clear(k)
 		// A committed configuration entry changes quorum sizes from here
 		// on.
-		cfg = n.Config()
+		cfg = n.log.ActiveConfig()
 		classicQ = quorum.ClassicSize(cfg.Size())
 	}
 }
@@ -523,22 +580,41 @@ func (n *Node) round() replica.Round {
 	}
 }
 
+// appendTargets lists the peers the leader replicates to: the other
+// voting members, then the non-voting joiners it is catching up.
+func (n *Node) appendTargets() []types.NodeID {
+	targets := n.log.ActiveConfig().Others(n.cfg.ID)
+	if len(n.nonvoting) == 0 {
+		return targets
+	}
+	return append(targets, sortedKeys(n.nonvoting)...)
+}
+
+// outlet binds the shared dispatch to this node's transmission and
+// recording.
+func (n *Node) outlet() replica.Outlet {
+	o := replica.Outlet{Send: n.send, Snapshot: n.sendSnapshotTo}
+	if n.rec != nil {
+		o.Dispatched = func(to types.NodeID, m types.AppendEntries) {
+			n.rec.AppendDispatch(n.now, m.Term, to, m.PrevLogIndex, len(m.Entries), m.Round)
+		}
+	}
+	return o
+}
+
 // broadcastAppend dispatches this round's traffic to every peer through
-// the shared replication engine: snapshot chunks while a peer is behind
-// the compacted prefix, leader-approved entries while the inflight window
-// allows, a bare heartbeat otherwise (see replica.Tracker.AppendMessages).
-// Every branch sends something, so silent-leave accounting keeps working.
+// the shared replication engine (replica.Tracker.Broadcast). Every peer
+// gets a message, so silent-leave accounting keeps working.
 func (n *Node) broadcastAppend() {
 	cfg := n.Config()
 	n.aeRound++
-	lv, rc := n.logView(), n.round()
+	rc := n.round()
 	if n.readMgr != nil {
 		// Seal the pending ReadIndex batch onto this round; a quorum of
 		// acks echoing the ID confirms every read in it at once.
 		rc.ReadCtx = n.readMgr.StampRound(n.now)
 	}
-	targets := cfg.Others(n.cfg.ID)
-	targets = append(targets, sortedKeys(n.nonvoting)...)
+	targets := n.appendTargets()
 	for _, peer := range targets {
 		// Silent-leave accounting: count rounds a voting member has left
 		// unanswered.
@@ -550,27 +626,8 @@ func (n *Node) broadcastAppend() {
 			}
 			n.responded[peer] = false
 		}
-		msgs, snapshot := n.progress.AppendMessages(peer, lv, rc)
-		if n.rec != nil {
-			for _, m := range msgs {
-				if len(m.Entries) > 0 {
-					n.rec.AppendDispatch(n.now, m.Term, peer, m.PrevLogIndex, len(m.Entries), m.Round)
-				}
-			}
-		}
-		if snapshot {
-			// The entries this peer needs are compacted away; stream the
-			// snapshot instead. While the install is pending nothing is
-			// re-sent — the heartbeat keeps the peer responding.
-			if !n.sendSnapshotTo(peer) {
-				n.send(peer, n.progress.HeartbeatMessage(peer, lv, rc))
-			}
-			continue
-		}
-		for _, m := range msgs {
-			n.send(peer, m)
-		}
 	}
+	n.progress.Broadcast(targets, n.logView(), rc, n.outlet())
 	n.lastBroadcastHead = n.log.LastLeaderIndex()
 }
 
@@ -609,10 +666,16 @@ func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {
 		}
 		n.applyLeaderEntry(e)
 	}
-	// Fast Raft commit-prefix refinement: only commit over leader-approved
-	// entries (see DESIGN.md).
+	// Commit only what this message vouched for (Raft Fig. 2): entries up
+	// to its last one match the leader's log, while anything above may be
+	// a stale suffix of an earlier term. A heartbeat anchored at the match
+	// index can carry a higher commit index than that.
+	match := m.PrevLogIndex + types.Index(len(m.Entries))
 	if m.LeaderCommit > n.commitIndex {
 		k := m.LeaderCommit
+		if k > match {
+			k = match
+		}
 		if top := n.log.LastLeaderIndex(); k > top {
 			k = top
 		}
@@ -624,7 +687,7 @@ func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {
 		}
 	}
 	resp.Success = true
-	resp.MatchIndex = m.PrevLogIndex + types.Index(len(m.Entries))
+	resp.MatchIndex = match
 	resp.LastLogIndex = n.log.LastLeaderIndex()
 	n.send(from, resp)
 	n.reactToConfig()
@@ -715,7 +778,6 @@ func (n *Node) onAppendEntriesResp(from types.NodeID, m types.AppendEntriesResp)
 		n.progress.SeedSnapshot(from, b, m.PendingOffset, n.now)
 		n.rec.SnapResume(n.now, from, b, m.PendingOffset)
 	}
-	// Commit evaluation happens at the next leader tick (timing model).
 }
 
 func (n *Node) onCommitNotify(m types.CommitNotify) {

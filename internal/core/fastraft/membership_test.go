@@ -39,8 +39,17 @@ func TestJoinRequestRedirectedToLeader(t *testing.T) {
 // TestJoinFullFlow drives the leader through the paper's join protocol:
 // catch-up as a non-voting member, configuration entry once caught up,
 // JoinAccepted once the configuration commits.
+//
+// The node is paced: the test steps the leader through the paper's
+// tick-by-tick protocol. An event-driven leader starts the catch-up as
+// soon as the request arrives.
 func TestJoinFullFlow(t *testing.T) {
-	n := newTestNode(t, "n1", "n1", "n2", "n3")
+	cfg := testConfig("n1", "n1", "n2", "n3")
+	cfg.Paced = true
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	electLeader(t, n, "n2", "n3")
 	ackLeaderLog(t, n, "n2", "n3")
 

@@ -13,7 +13,10 @@
 //     classic quorum has voted, the most-voted entry is decided
 //     (leader-approved); if a fast quorum voted for it, it commits
 //     immediately (fast track), otherwise AppendEntries replicates it and
-//     it commits on a classic quorum of matchIndex (classic track).
+//     it commits on a classic quorum of matchIndex (classic track). Unless
+//     Config.Paced is set, the leader also decides, commits and replicates
+//     as votes and acks arrive, deciding early only indices no further
+//     vote can change (see react).
 //   - Elections compare only leader-approved log positions; granted votes
 //     carry the voter's self-approved entries so the new leader re-decides
 //     (and re-commits) anything a previous leader may have committed on the
@@ -414,16 +417,21 @@ func (n *Node) TakeChangedEntries() []types.Entry {
 // SyncDone advances the durability horizon after a storage sync: deferred
 // self-acknowledgements run (possibly winning an election), held outputs
 // become releasable at the next Take*, and a leader re-evaluates decisions
-// and commits that were waiting on its own records.
+// and commits that were waiting on its own records (an event-driven leader
+// also dispatches what they made sendable; see react).
 func (n *Node) SyncDone(now time.Duration, durableLSN uint64) {
 	n.now = now
 	if !n.acts.Run(durableLSN) {
 		return
 	}
+	if !n.cfg.Paced {
+		n.react()
+		return
+	}
 	if n.role != types.RoleLeader {
 		return
 	}
-	n.decideLoop()
+	n.decideLoop(false)
 	if n.role != types.RoleLeader {
 		return
 	}
@@ -558,6 +566,7 @@ func (n *Node) Step(now time.Duration, env types.Envelope) {
 	default:
 		// Ignore unknown message types.
 	}
+	n.react()
 }
 
 // acceptFrom applies the paper's membership filter: consensus messages from
@@ -868,6 +877,7 @@ func (n *Node) becomeLeader() {
 		ResendTimeout:    n.cfg.SnapshotResendTimeout,
 		MinResendTimeout: n.cfg.HeartbeatInterval,
 		MaxResendTimeout: n.cfg.ElectionTimeoutMin,
+		Paced:            n.cfg.Paced,
 	}, n.metrics)
 	// Paper: nextIndex initialized to the leader's last committed entry +1.
 	n.progress.Reset(cfg.Members, n.commitIndex+1)

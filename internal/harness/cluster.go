@@ -102,6 +102,10 @@ type Options struct {
 	SessionTTL time.Duration
 	// DisableFastTrack forces Fast Raft onto the classic track (ablation).
 	DisableFastTrack bool
+	// Paced runs every leader on the paper's round model: decisions,
+	// commits, replication and read rounds only at the heartbeat tick (see
+	// fastraft.Config.Paced). The paper figures and ablations run paced.
+	Paced bool
 	// Trace equips every node with a flight recorder; recorders survive
 	// Crash/Restart so a node's ring spans its whole simulated lifetime.
 	// Dump with MergedTrace or DumpTraceOnFailure.
@@ -298,6 +302,7 @@ func (c *Cluster) makeMachine(id types.NodeID, bootstrap types.Config, store sto
 			MaxInflightBytes:    c.opts.MaxInflightBytes,
 			MaxSnapshotChunk:    c.opts.MaxSnapshotChunk,
 			SessionTTL:          c.opts.SessionTTL,
+			Paced:               c.opts.Paced,
 			Rand:                nodeRand,
 			Recorder:            rec,
 		})
@@ -320,6 +325,7 @@ func (c *Cluster) makeMachine(id types.NodeID, bootstrap types.Config, store sto
 			MaxInflightProposalBytes: c.opts.MaxInflightProposalBytes,
 			SessionTTL:               c.opts.SessionTTL,
 			DisableFastTrack:         c.opts.DisableFastTrack,
+			Paced:                    c.opts.Paced,
 			Rand:                     nodeRand,
 			Recorder:                 rec,
 		})

@@ -204,7 +204,12 @@ func TestCraftThroughputScalesWithClusters(t *testing.T) {
 				Region: regions[i%len(regions)],
 			})
 		}
-		c := newCraft(t, specs, 6, 0)
+		// Figure 5's trend is a claim about the paper's round model, like
+		// the figure itself (internal/bench).
+		c, err := NewCraftCluster(CraftOptions{Clusters: specs, Seed: 6, Paced: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !c.WaitForLeaders(60 * time.Second) {
 			t.Fatal("no leaders")
 		}
@@ -247,7 +252,12 @@ func TestCraftToleratesDuplicationAndLoss(t *testing.T) {
 	}
 	end := c.Sched.Now() + 90*time.Second
 	for _, spec := range twoClusterSpecs() {
-		if _, err := c.StartProposer(ProposerOptions{Node: spec.Sites[0], StopAfter: end}); err != nil {
+		// A think time of one local heartbeat keeps the offered load near
+		// what a paced leader sustains; event-driven local leaders commit
+		// within a round trip, and a bare closed loop would multiply the
+		// run's work without adding fault coverage.
+		opts := ProposerOptions{Node: spec.Sites[0], StopAfter: end, ThinkTime: 100 * time.Millisecond}
+		if _, err := c.StartProposer(opts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -67,6 +67,9 @@ type CraftOptions struct {
 	SessionTTL time.Duration
 	// DisableFastTrack forces the classic track at both levels.
 	DisableFastTrack bool
+	// Paced runs both levels on the paper's round model (see
+	// Options.Paced).
+	Paced bool
 	// Trace equips every site with a flight recorder (local and global
 	// layers share one ring per site); recorders survive Crash/Restart.
 	// Dump with MergedTrace or DumpTraceOnFailure.
@@ -268,6 +271,7 @@ func (c *CraftCluster) makeNode(spec ClusterSpec, site types.NodeID, globalBoots
 		MaxInflightBatches:  c.opts.MaxInflightBatches,
 		SessionTTL:          c.opts.SessionTTL,
 		DisableFastTrack:    c.opts.DisableFastTrack,
+		Paced:               c.opts.Paced,
 		Rand:                rand.New(rand.NewSource(c.rng.Int63())),
 		Recorder:            rec,
 	})

@@ -157,6 +157,10 @@ func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed i
 		DupProb:            0.05,
 		// Keep silent-leave detection from reconfiguring around the churn.
 		MemberTimeoutRounds: 100000,
+		// The seeded loss pattern that cuts the stream mid-offset, and the
+		// crash point it depends on, were laid out for leaders that act
+		// at their heartbeat tick.
+		Paced: true,
 	})
 	if err != nil {
 		t.Fatal(err)

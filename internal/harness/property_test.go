@@ -13,8 +13,18 @@ import (
 // scenarios that combine message loss, leader crashes, restarts,
 // partitions and membership churn under continuous proposal load, and
 // asserts the paper's safety property (Definition 2.1) plus election
-// safety on every one.
+// safety on every one, with event-driven leaders.
 func TestPropertyFastRaftSafetyUnderChaos(t *testing.T) {
+	runChaosSeeds(t, false)
+}
+
+// TestPropertyFastRaftSafetyUnderChaosPaced runs the same scenarios on the
+// paper's round model (Options.Paced).
+func TestPropertyFastRaftSafetyUnderChaosPaced(t *testing.T) {
+	runChaosSeeds(t, true)
+}
+
+func runChaosSeeds(t *testing.T, paced bool) {
 	seeds := 30
 	if testing.Short() {
 		seeds = 8
@@ -23,12 +33,12 @@ func TestPropertyFastRaftSafetyUnderChaos(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runChaosScenario(t, seed)
+			runChaosScenario(t, seed, paced)
 		})
 	}
 }
 
-func runChaosScenario(t *testing.T, seed int64) {
+func runChaosScenario(t *testing.T, seed int64, paced bool) {
 	rng := rand.New(rand.NewSource(seed * 7919))
 	nodes := fiveNodes()
 	c, err := NewCluster(Options{
@@ -36,6 +46,7 @@ func runChaosScenario(t *testing.T, seed int64) {
 		Nodes:    nodes,
 		Seed:     seed,
 		LossProb: []float64{0, 0.02, 0.05, 0.10}[rng.Intn(4)],
+		Paced:    paced,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,9 +54,20 @@ func runChaosScenario(t *testing.T, seed int64) {
 	if _, ok := c.WaitForLeader(30 * time.Second); !ok {
 		t.Fatal("no initial leader")
 	}
-	// Two proposers under closed loop for the whole run.
+	// Two proposers under closed loop for the whole run. With paced
+	// leaders a proposal takes one to three heartbeats, about 220ms on
+	// average here. An event-driven leader commits within a round trip
+	// (600µs), and a closed loop with no think time would commit 5–130x
+	// more entries per virtual minute, each costing the same simulation
+	// work. Its proposers think for two heartbeats between proposals, which
+	// keeps the offered load, not the seed count, in line with the paced
+	// run.
+	var think time.Duration
+	if !paced {
+		think = 200 * time.Millisecond
+	}
 	for _, p := range []types.NodeID{"n1", "n2"} {
-		if _, err := c.StartProposer(ProposerOptions{Node: p, StopAfter: c.Sched.Now() + 60*time.Second}); err != nil {
+		if _, err := c.StartProposer(ProposerOptions{Node: p, StopAfter: c.Sched.Now() + 60*time.Second, ThinkTime: think}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,8 +128,18 @@ func runChaosScenario(t *testing.T, seed int64) {
 // TestPropertyCRaftSafetyUnderChurn subjects a two-cluster C-Raft
 // deployment to local leader crashes and loss while both clusters batch
 // into the global log, asserting safety on the global log and on every
-// cluster's local log.
+// cluster's local log, with event-driven leaders at both levels.
 func TestPropertyCRaftSafetyUnderChurn(t *testing.T) {
+	runCraftChurnSeeds(t, false)
+}
+
+// TestPropertyCRaftSafetyUnderChurnPaced runs the same scenarios on the
+// paper's round model (CraftOptions.Paced).
+func TestPropertyCRaftSafetyUnderChurnPaced(t *testing.T) {
+	runCraftChurnSeeds(t, true)
+}
+
+func runCraftChurnSeeds(t *testing.T, paced bool) {
 	seeds := 12
 	if testing.Short() {
 		seeds = 4
@@ -116,12 +148,12 @@ func TestPropertyCRaftSafetyUnderChurn(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runCraftChurnScenario(t, seed)
+			runCraftChurnScenario(t, seed, paced)
 		})
 	}
 }
 
-func runCraftChurnScenario(t *testing.T, seed int64) {
+func runCraftChurnScenario(t *testing.T, seed int64, paced bool) {
 	rng := rand.New(rand.NewSource(seed * 104729))
 	specs := []ClusterSpec{
 		{ID: "cA", Sites: ids("a1", "a2", "a3"), Region: "us-east-1"},
@@ -131,6 +163,7 @@ func runCraftChurnScenario(t *testing.T, seed int64) {
 		Clusters: specs,
 		Seed:     seed,
 		LossProb: []float64{0, 0.02}[rng.Intn(2)],
+		Paced:    paced,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,10 +172,17 @@ func runCraftChurnScenario(t *testing.T, seed int64) {
 		t.Fatal("leaders not elected")
 	}
 	end := c.Sched.Now() + 90*time.Second
+	// As in the Fast Raft chaos scenario, event-driven proposers think for
+	// two local heartbeats between proposals, so the offered load stays in
+	// line with the paced run instead of growing with commit speed.
+	var think time.Duration
+	if !paced {
+		think = 200 * time.Millisecond
+	}
 	for _, spec := range specs {
 		// Proposers on two sites per cluster to survive crashes.
 		for _, site := range spec.Sites[:2] {
-			if _, err := c.StartProposer(ProposerOptions{Node: site, StopAfter: end}); err != nil {
+			if _, err := c.StartProposer(ProposerOptions{Node: site, StopAfter: end, ThinkTime: think}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -178,40 +218,46 @@ func runCraftChurnScenario(t *testing.T, seed int64) {
 // TestPropertyLivenessAfterQuorumRestore checks Definition 2.2 under the
 // paper's liveness conditions: after arbitrary crashes, as long as a
 // classic quorum is restored and a leader holds long enough, every pending
-// proposal eventually commits.
+// proposal eventually commits. Both leader timing models run.
 func TestPropertyLivenessAfterQuorumRestore(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		c, err := NewCluster(Options{Kind: KindFastRaft, Nodes: fiveNodes(), Seed: seed})
-		if err != nil {
-			t.Fatal(err)
+	for _, paced := range []bool{false, true} {
+		for seed := int64(1); seed <= 10; seed++ {
+			checkLivenessAfterQuorumRestore(t, seed, paced)
 		}
-		if _, ok := c.WaitForLeader(30 * time.Second); !ok {
-			t.Fatal("no leader")
-		}
-		// Crash a majority: consensus must stall.
-		c.Crash("n3")
-		c.Crash("n4")
-		c.Crash("n5")
-		p, err := c.StartProposer(ProposerOptions{Node: "n1", MaxProposals: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.RunFor(5 * time.Second)
-		stalled := p.Completed
-		// Restore the quorum: everything must drain.
-		if err := c.Restart("n3"); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Restart("n4"); err != nil {
-			t.Fatal(err)
-		}
-		ok := c.RunUntil(func() bool { return p.Completed >= 5 }, c.Sched.Now()+2*time.Minute)
-		if !ok {
-			t.Fatalf("seed %d: stalled at %d then %d/5 after quorum restore",
-				seed, stalled, p.Completed)
-		}
-		if err := c.Safety.Err(); err != nil {
-			t.Fatal(err)
-		}
+	}
+}
+
+func checkLivenessAfterQuorumRestore(t *testing.T, seed int64, paced bool) {
+	c, err := NewCluster(Options{Kind: KindFastRaft, Nodes: fiveNodes(), Seed: seed, Paced: paced})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.WaitForLeader(30 * time.Second); !ok {
+		t.Fatal("no leader")
+	}
+	// Crash a majority: consensus must stall.
+	c.Crash("n3")
+	c.Crash("n4")
+	c.Crash("n5")
+	p, err := c.StartProposer(ProposerOptions{Node: "n1", MaxProposals: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(5 * time.Second)
+	stalled := p.Completed
+	// Restore the quorum: everything must drain.
+	if err := c.Restart("n3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart("n4"); err != nil {
+		t.Fatal(err)
+	}
+	ok := c.RunUntil(func() bool { return p.Completed >= 5 }, c.Sched.Now()+2*time.Minute)
+	if !ok {
+		t.Fatalf("seed %d (paced=%v): stalled at %d then %d/5 after quorum restore",
+			seed, paced, stalled, p.Completed)
+	}
+	if err := c.Safety.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

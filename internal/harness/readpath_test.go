@@ -312,7 +312,14 @@ func TestLeaseReadsZeroAppendsZeroRounds(t *testing.T) {
 // one read batch, confirmed by tap-counted heartbeats of at most two
 // broadcast rounds (issue-to-release may straddle one tick boundary).
 func TestReadBatchingCollapsesConcurrentReads(t *testing.T) {
-	c := newTestCluster(t, KindRaft, 53, 0) // classic Raft: no lease shortcut taken
+	// Classic Raft: no lease shortcut taken. Paced: the round model stamps
+	// every read registered between two heartbeats into one batch. An
+	// event-driven leader sends the first read's round at once, and the
+	// reads registered behind it share the next one.
+	c, err := NewCluster(Options{Kind: KindRaft, Nodes: fiveNodes(), Seed: 53, Paced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	leader, ok := c.WaitForLeader(10 * time.Second)
 	if !ok {
 		t.Fatal("no leader")

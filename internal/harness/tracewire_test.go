@@ -21,6 +21,11 @@ func TestWireTraceAssemblesAcrossNodes(t *testing.T) {
 		Seed:        7,
 		Trace:       true,
 		TraceSample: 1,
+		// The journey below expects both followers' acks in the trace. A
+		// paced leader commits at its tick, after both arrived; an
+		// event-driven one commits on the first and retires the entry
+		// from ack tracing (Recorder.TraceCommitted).
+		Paced: true,
 	})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)

@@ -27,6 +27,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"sort"
 
 	"github.com/hraft-io/hraft/internal/types"
 )
@@ -179,6 +180,16 @@ func (l *Log) Get(idx types.Index) (types.Entry, bool) {
 	return types.Entry{}, false
 }
 
+// ProposalAt returns the ProposalID of the entry at idx without copying
+// the entry (Get clones its payload); ok=false for a hole, a compacted
+// index or an out-of-range index.
+func (l *Log) ProposalAt(idx types.Index) (types.ProposalID, bool) {
+	if e := l.at(idx); e != nil {
+		return e.PID, true
+	}
+	return types.ProposalID{}, false
+}
+
 // Has reports whether idx holds an entry.
 func (l *Log) Has(idx types.Index) bool { return l.at(idx) != nil }
 
@@ -223,6 +234,10 @@ func (l *Log) LastLeaderTerm() types.Term { return l.Term(l.lastLeader) }
 func (l *Log) Config() (types.Config, types.Index) {
 	return l.config.Clone(), l.configIndex
 }
+
+// ActiveConfig is Config without the copy, for read-only use on hot
+// paths: the caller must not modify the returned configuration.
+func (l *Log) ActiveConfig() types.Config { return l.config }
 
 // ConfigAt returns the configuration in effect at idx: the last config
 // entry at or below idx, falling back to the snapshot/bootstrap base. It is
@@ -436,13 +451,20 @@ func (l *Log) capturePIDDigests(boundary types.Index) map[types.ProposalID]uint6
 // proportional to the retained log. Only compaction paths call this, so
 // every windowed mapping refers to a committed entry — truncated or
 // overwritten (never-committed) entries are removed outright by remove()
-// and never enter the window.
+// and never enter the window. They enter in log order, so which mappings
+// the window later evicts depends on the log alone, not on map iteration
+// order: a run replays from its seed.
 func (l *Log) dropCompactedPIDs(digests map[types.ProposalID]uint64) {
+	var moved []pidMapping
 	for pid, idx := range l.byPID {
 		if idx <= l.snapIndex {
 			delete(l.byPID, pid)
-			l.compacted.add(pid, idx, digests[pid])
+			moved = append(moved, pidMapping{pid: pid, idx: idx, digest: digests[pid]})
 		}
+	}
+	sort.Slice(moved, func(i, j int) bool { return moved[i].idx < moved[j].idx })
+	for _, m := range moved {
+		l.compacted.add(m.pid, m.idx, m.digest)
 	}
 }
 

@@ -464,6 +464,31 @@ func TestCompactedPIDWindowBounded(t *testing.T) {
 	}
 }
 
+// TestCompactedPIDWindowEvictsInLogOrder: one compaction that overflows
+// the window evicts the lowest indices, whatever the map order of the
+// mappings it moves, so the window's contents depend on the log alone.
+func TestCompactedPIDWindowEvictsInLogOrder(t *testing.T) {
+	const total = compactedWindowSize + 100
+	l := New(types.NewConfig("a", "b", "c"))
+	for i := types.Index(1); i <= total; i++ {
+		if err := l.AppendLeader(i, leaderEntry(1, "p", uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.CompactTo(total, 1); err != nil {
+		t.Fatal(err)
+	}
+	for s := uint64(1); s <= total; s++ {
+		want := types.Index(s)
+		if s <= total-compactedWindowSize {
+			want = 0
+		}
+		if idx := l.FindProposal(pid("p", s)); idx != want {
+			t.Fatalf("pid %d resolves to %d, want %d", s, idx, want)
+		}
+	}
+}
+
 // TestCompactedPIDWindowRefresh checks that a window lookup refreshes the
 // mapping's recency: a proposal that keeps being retried outlives mappings
 // compacted after it.

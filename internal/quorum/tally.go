@@ -110,6 +110,34 @@ func (t *Tally) Voters(idx types.Index, cfg types.Config) int {
 	return n
 }
 
+// Settled reports whether no further vote can change the decision at idx:
+// every configuration member has voted, or one candidate already holds
+// fastQ of their votes.
+func (t *Tally) Settled(idx types.Index, cfg types.Config, fastQ int) bool {
+	it := t.byIndex[idx]
+	if it == nil {
+		return false
+	}
+	if t.Voters(idx, cfg) == cfg.Size() {
+		return true
+	}
+	for _, c := range it.candidates {
+		if c.nulled {
+			continue
+		}
+		votes := 0
+		for v := range c.voters {
+			if cfg.Contains(v) {
+				votes++
+			}
+		}
+		if votes >= fastQ {
+			return true
+		}
+	}
+	return false
+}
+
 // Decision is the result of deciding an index.
 type Decision struct {
 	// Winner is the entry with the most votes (ties broken by ProposalID

@@ -228,3 +228,38 @@ func TestQuickDecideDeterministicAcrossInsertionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTallySettled: an index is settled once every member voted or one
+// candidate holds a fast quorum; a bare classic quorum is not enough.
+func TestTallySettled(t *testing.T) {
+	cfg := types.NewConfig("a", "b", "c", "d", "e")
+	fastQ := FastSize(cfg.Size())
+	e1 := entryWith(types.ProposalID{Proposer: "p1", Seq: 1})
+	e2 := entryWith(types.ProposalID{Proposer: "p2", Seq: 1})
+	tally := NewTally()
+	if tally.Settled(1, cfg, fastQ) {
+		t.Fatal("empty index settled")
+	}
+	for _, v := range []types.NodeID{"a", "b", "c"} {
+		tally.AddVote(1, v, e1)
+	}
+	if tally.Settled(1, cfg, fastQ) {
+		t.Fatal("settled on a classic quorum")
+	}
+	tally.AddVote(1, "d", e1)
+	if !tally.Settled(1, cfg, fastQ) {
+		t.Fatal("fast quorum did not settle the index")
+	}
+	// Split votes settle only once everyone voted.
+	for _, v := range []types.NodeID{"a", "b", "c"} {
+		tally.AddVote(2, v, e1)
+	}
+	tally.AddVote(2, "d", e2)
+	if tally.Settled(2, cfg, fastQ) {
+		t.Fatal("split index settled with a vote outstanding")
+	}
+	tally.AddVote(2, "e", e2)
+	if !tally.Settled(2, cfg, fastQ) {
+		t.Fatal("index not settled after every member voted")
+	}
+}

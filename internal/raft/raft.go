@@ -3,12 +3,15 @@
 //
 // The implementation is a sans-io state machine: the host delivers messages
 // via Step, advances time via Tick, and drains outgoing messages and newly
-// committed entries. Timing follows the paper's implementation model (see
-// DESIGN.md "Timing model"): followers react to messages immediately, while
-// all leader actions — dispatching AppendEntries, evaluating commits and
-// notifying proposers — happen at the leader's periodic heartbeat tick.
-// This is what gives classic Raft its characteristic ~1.5 heartbeat commit
-// latency against which Fast Raft's single-tick fast track is compared.
+// committed entries. The leader is event-driven by default: an append, an
+// ack, a durability advance or a read dispatches what it made sendable at
+// once, and the heartbeat tick covers liveness, lease renewal and
+// retransmission. Config.Paced restores the paper's implementation model
+// (see DESIGN.md "Timing model"): all leader actions — dispatching
+// AppendEntries, evaluating commits and notifying proposers — happen at
+// the leader's periodic heartbeat tick. That is what gives classic Raft its
+// characteristic ~1.5 heartbeat commit latency in the paper's figures,
+// against which Fast Raft's single-tick fast track is compared.
 package raft
 
 import (
@@ -86,6 +89,11 @@ type Config struct {
 	// Snapshotter produces and consumes application state-machine images
 	// for compaction (optional; without one snapshots carry empty state).
 	Snapshotter types.Snapshotter
+	// Paced keeps the paper's round model: the leader dispatches appends,
+	// advances its commit index, notifies proposers and confirms reads
+	// only at its heartbeat tick. The virtual-time paper figures run
+	// paced.
+	Paced bool
 	// Rand drives randomized timeouts; required for deterministic
 	// simulation.
 	Rand *rand.Rand
@@ -163,7 +171,8 @@ type Node struct {
 	progress *replica.Tracker
 	aeRound  uint64
 	// notifyQueue holds commit notifications to flush at the next leader
-	// tick (see package comment on timing).
+	// tick, or at the end of the current event when not paced (see package
+	// comment on timing).
 	notifyQueue []types.Envelope
 
 	// proposer state.
@@ -417,6 +426,10 @@ func (n *Node) SyncDone(now time.Duration, durableLSN uint64) {
 	if !n.acts.Run(durableLSN) {
 		return
 	}
+	if !n.cfg.Paced {
+		n.react()
+		return
+	}
 	if n.role != types.RoleLeader {
 		return
 	}
@@ -525,6 +538,7 @@ func (n *Node) ProposeSession(now time.Duration, sid types.SessionID, seq, ack u
 func (n *Node) submit(e types.Entry) {
 	if n.role == types.RoleLeader {
 		n.leaderAppend(e)
+		n.react()
 		return
 	}
 	if n.leaderID != types.None && n.leaderID != n.cfg.ID {
@@ -611,6 +625,7 @@ func (n *Node) Step(now time.Duration, env types.Envelope) {
 		// Unknown messages (e.g. Fast Raft traffic misrouted in tests) are
 		// ignored; classic Raft has no use for them.
 	}
+	n.react()
 }
 
 func (n *Node) send(to types.NodeID, msg types.Message) {
@@ -798,6 +813,7 @@ func (n *Node) becomeLeader() {
 		ResendTimeout:    n.cfg.SnapshotResendTimeout,
 		MinResendTimeout: n.cfg.HeartbeatInterval,
 		MaxResendTimeout: n.cfg.ElectionTimeoutMin,
+		Paced:            n.cfg.Paced,
 	}, n.metrics)
 	n.progress.Reset(cfg.Members, n.log.LastIndex()+1)
 	n.recordSelfDurable()
@@ -818,8 +834,8 @@ func (n *Node) becomeLeader() {
 }
 
 // leaderAppend appends an entry to the leader's log (de-duplicating by
-// session and proposal ID) and persists it. Replication happens at the next
-// tick.
+// session and proposal ID) and persists it. Replication happens at the end
+// of the event (react), or at the next tick when paced.
 func (n *Node) leaderAppend(e types.Entry) {
 	// Session duplicate: a retry of a sequence already applied — possibly
 	// under a different PID (proposer restart) and possibly below the
@@ -870,6 +886,25 @@ func (n *Node) onClientPropose(from types.NodeID, m types.ClientPropose) {
 	}
 }
 
+// react is the event-driven leader's answer to an append, an ack, a
+// durability advance or a read: advance the commit index, release reads,
+// notify proposers, then send each follower what the event made sendable
+// (replica.Tracker.Push). A paced leader does all of this at its tick only.
+func (n *Node) react() {
+	if n.cfg.Paced || n.role != types.RoleLeader {
+		return
+	}
+	n.advanceCommit()
+	rc := n.round()
+	if n.readMgr.ReadRoundDue() {
+		rc.ReadCtx = n.readMgr.StampRound(n.now)
+	}
+	// After the stamp: a single-member group confirms its round at once.
+	n.reads.Flush(n.now)
+	n.flushNotifications()
+	n.progress.Push(n.log.ActiveConfig().Others(n.cfg.ID), n.logView(), rc, n.outlet())
+}
+
 // leaderTick performs all periodic leader duties: commit evaluation,
 // notification flush, and AppendEntries dispatch.
 func (n *Node) leaderTick() {
@@ -881,7 +916,7 @@ func (n *Node) leaderTick() {
 }
 
 func (n *Node) advanceCommit() {
-	cfg := n.Config()
+	cfg := n.log.ActiveConfig()
 	classic := quorum.ClassicSize(cfg.Size())
 	for k := n.commitIndex + 1; k <= n.log.LastIndex(); k++ {
 		if n.log.Term(k) != n.term {
@@ -1070,44 +1105,32 @@ func (n *Node) round() replica.Round {
 	}
 }
 
+// outlet binds the shared dispatch to this node's transmission and
+// recording.
+func (n *Node) outlet() replica.Outlet {
+	o := replica.Outlet{Send: n.send, Snapshot: n.sendSnapshotTo}
+	if n.rec != nil {
+		o.Dispatched = func(to types.NodeID, m types.AppendEntries) {
+			n.rec.AppendDispatch(n.now, m.Term, to, m.PrevLogIndex, len(m.Entries), m.Round)
+			for _, e := range m.Entries {
+				n.rec.SpanStage(n.now, e.PID, trace.StageReplicate, e.Index)
+			}
+		}
+	}
+	return o
+}
+
 // broadcastAppend dispatches this round's traffic to every follower
-// through the shared replication engine: snapshot chunks while a follower
-// is behind the compacted prefix, log entries while the inflight window
-// allows, a bare heartbeat otherwise (see replica.Tracker.AppendMessages).
+// through the shared replication engine (replica.Tracker.Broadcast).
 func (n *Node) broadcastAppend() {
-	cfg := n.Config()
 	n.aeRound++
-	lv, rc := n.logView(), n.round()
+	rc := n.round()
 	if n.readMgr != nil {
 		// Seal the pending ReadIndex batch onto this round; a quorum of
 		// acks echoing the ID confirms every read in it at once.
 		rc.ReadCtx = n.readMgr.StampRound(n.now)
 	}
-	for _, peer := range cfg.Others(n.cfg.ID) {
-		msgs, snapshot := n.progress.AppendMessages(peer, lv, rc)
-		if n.rec != nil {
-			for _, m := range msgs {
-				if len(m.Entries) > 0 {
-					n.rec.AppendDispatch(n.now, m.Term, peer, m.PrevLogIndex, len(m.Entries), m.Round)
-					for _, e := range m.Entries {
-						n.rec.SpanStage(n.now, e.PID, trace.StageReplicate, e.Index)
-					}
-				}
-			}
-		}
-		if snapshot {
-			// The entries this follower needs are compacted away; stream
-			// the snapshot instead. While the install is pending, nothing
-			// is re-sent — the heartbeat keeps leadership alive.
-			if !n.sendSnapshotTo(peer) {
-				n.send(peer, n.progress.HeartbeatMessage(peer, lv, rc))
-			}
-			continue
-		}
-		for _, m := range msgs {
-			n.send(peer, m)
-		}
-	}
+	n.progress.Broadcast(n.Config().Others(n.cfg.ID), n.logView(), rc, n.outlet())
 }
 
 func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {
@@ -1158,9 +1181,16 @@ func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {
 		n.persistEntry(stored)
 		n.rec.TraceHop(n.now, e.TraceID, trace.HopReplicate, from, e.Index)
 	}
+	// Commit only what this message vouched for (Raft Fig. 2): entries up
+	// to its last one match the leader's log, while anything above may be
+	// a stale suffix of an earlier term. A heartbeat anchored at the match
+	// index can carry a higher commit index than that.
 	match := m.PrevLogIndex + types.Index(len(m.Entries))
 	if m.LeaderCommit > n.commitIndex {
 		k := m.LeaderCommit
+		if k > match {
+			k = match
+		}
 		if last := n.log.LastIndex(); k > last {
 			k = last
 		}
@@ -1211,7 +1241,6 @@ func (n *Node) onAppendEntriesResp(from types.NodeID, m types.AppendEntriesResp)
 		n.progress.SeedSnapshot(from, b, m.PendingOffset, n.now)
 		n.rec.SnapResume(n.now, from, b, m.PendingOffset)
 	}
-	// Commit evaluation happens at the next leader tick (timing model).
 }
 
 func (n *Node) onCommitNotify(m types.CommitNotify) {

@@ -11,11 +11,24 @@ import (
 
 func newTestNode(t *testing.T, id types.NodeID, members ...types.NodeID) *Node {
 	t.Helper()
+	return newNode(t, false, id, members...)
+}
+
+// newPacedTestNode builds a node on the paper's round model
+// (Config.Paced), for tests that step the leader tick by tick.
+func newPacedTestNode(t *testing.T, id types.NodeID, members ...types.NodeID) *Node {
+	t.Helper()
+	return newNode(t, true, id, members...)
+}
+
+func newNode(t *testing.T, paced bool, id types.NodeID, members ...types.NodeID) *Node {
+	t.Helper()
 	n, err := New(Config{
 		ID:        id,
 		Bootstrap: types.NewConfig(members...),
 		Storage:   storage.NewMemory(),
 		Rand:      rand.New(rand.NewSource(int64(len(id)) + 3)),
+		Paced:     paced,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +121,7 @@ func TestVoteRefusedForStaleLog(t *testing.T) {
 }
 
 func TestLeaderAppendsAndCommits(t *testing.T) {
-	n := newTestNode(t, "n1", "n1", "n2", "n3")
+	n := newPacedTestNode(t, "n1", "n1", "n2", "n3")
 	electLeader(t, n, "n2", "n3")
 	pid := n.Propose(time.Hour, []byte("x"))
 	if pid.Proposer != "n1" {
@@ -145,6 +158,104 @@ func TestLeaderAppendsAndCommits(t *testing.T) {
 	res := n.TakeResolved()
 	if len(res) != 1 || res[0].PID != pid {
 		t.Fatalf("resolved = %v", res)
+	}
+}
+
+// appendsTo returns the AppendEntries messages in out addressed to peer.
+func appendsTo(out []types.Envelope, peer types.NodeID) []types.AppendEntries {
+	var aes []types.AppendEntries
+	for _, env := range out {
+		if m, ok := env.Msg.(types.AppendEntries); ok && env.To == peer {
+			aes = append(aes, m)
+		}
+	}
+	return aes
+}
+
+// TestEventDrivenLeaderReplicatesAndCommitsOnAck: without Paced the leader
+// sends a new entry when it is proposed and commits on the ack that
+// completes a quorum, with no tick in between. The commit then reaches the
+// followers in a heartbeat, once each, and an echo of that heartbeat
+// triggers nothing.
+func TestEventDrivenLeaderReplicatesAndCommitsOnAck(t *testing.T) {
+	n := newTestNode(t, "n1", "n1", "n2", "n3")
+	electLeader(t, n, "n2", "n3")
+	noop := n.LastIndex()
+	ack := func(from types.NodeID, match types.Index) {
+		n.Step(time.Hour, types.Envelope{From: from, To: "n1", Layer: types.LayerLocal,
+			Msg: types.AppendEntriesResp{Term: n.Term(), Success: true, MatchIndex: match}})
+	}
+	// Answering the election's probes commits the no-op.
+	ack("n2", noop)
+	ack("n3", noop)
+	if n.CommitIndex() != noop {
+		t.Fatalf("commit = %d after the no-op's acks, want %d", n.CommitIndex(), noop)
+	}
+	n.TakeOutbox()
+	n.TakeCommitted()
+
+	pid := n.Propose(time.Hour, []byte("x"))
+	out := n.TakeOutbox()
+	for _, f := range []types.NodeID{"n2", "n3"} {
+		aes := appendsTo(out, f)
+		if len(aes) != 1 || len(aes[0].Entries) != 1 || aes[0].Entries[0].Index != noop+1 {
+			t.Fatalf("append to %s on propose = %+v, want the new entry alone", f, aes)
+		}
+	}
+	ack("n2", noop+1)
+	if n.CommitIndex() != noop+1 {
+		t.Fatalf("commit = %d after a quorum acked, want %d", n.CommitIndex(), noop+1)
+	}
+	if res := n.TakeResolved(); len(res) != 1 || res[0].PID != pid {
+		t.Fatalf("resolved = %v", res)
+	}
+	out = n.TakeOutbox()
+	for _, f := range []types.NodeID{"n2", "n3"} {
+		aes := appendsTo(out, f)
+		if f == "n3" {
+			// n3 has not acked the entry: a heartbeat anchored at its match
+			// could not let it commit the entry, so none is sent.
+			if len(aes) != 0 {
+				t.Fatalf("commit heartbeat to n3 before it acked: %+v", aes)
+			}
+			continue
+		}
+		if len(aes) != 1 || aes[0].LeaderCommit != noop+1 || len(aes[0].Entries) != 0 {
+			t.Fatalf("commit heartbeat to %s = %+v", f, aes)
+		}
+	}
+	// n3's ack lets it commit the entry: one heartbeat; its echo, nothing.
+	ack("n3", noop+1)
+	if aes := appendsTo(n.TakeOutbox(), "n3"); len(aes) != 1 || aes[0].LeaderCommit != noop+1 {
+		t.Fatalf("commit heartbeat to n3 after its ack = %+v", aes)
+	}
+	ack("n2", noop+1)
+	ack("n3", noop+1)
+	if out := n.TakeOutbox(); len(out) != 0 {
+		t.Fatalf("echoed heartbeats triggered %v", out)
+	}
+}
+
+// TestFollowerCommitBoundedByVerifiedPrefix: a follower commits only up
+// to the last index the AppendEntries vouched for (Raft Fig. 2), never
+// into a suffix the leader's consistency check did not cover.
+func TestFollowerCommitBoundedByVerifiedPrefix(t *testing.T) {
+	n := newTestNode(t, "n2", "n1", "n2", "n3")
+	// A term-1 leader gave n2 entries 1..3.
+	var stale []types.Entry
+	for i := types.Index(1); i <= 3; i++ {
+		stale = append(stale, types.Entry{Index: i, Term: 1, Kind: types.KindNormal,
+			Data: []byte{byte(i)}, Approval: types.ApprovedLeader})
+	}
+	n.Step(time.Second, types.Envelope{From: "n1", To: "n2", Layer: types.LayerLocal,
+		Msg: types.AppendEntries{Term: 1, LeaderID: "n1", Entries: stale}})
+	// The term-2 leader's heartbeat is anchored at index 1, the match it
+	// knows, and carries commit 3: entries 2..3 here may differ from its
+	// log, so only index 1 may commit.
+	n.Step(2*time.Second, types.Envelope{From: "n3", To: "n2", Layer: types.LayerLocal,
+		Msg: types.AppendEntries{Term: 2, LeaderID: "n3", PrevLogIndex: 1, PrevLogTerm: 1, LeaderCommit: 3}})
+	if n.CommitIndex() != 1 {
+		t.Fatalf("commit = %d, want 1 (the verified prefix)", n.CommitIndex())
 	}
 }
 

@@ -53,7 +53,9 @@ func (n *Node) newReadManager() *readpath.Manager {
 // index the state machine must be applied through before serving it.
 func (n *Node) Read(now time.Duration, c types.ReadConsistency) uint64 {
 	n.now = now
-	return n.reads.Read(now, c)
+	tok := n.reads.Read(now, c)
+	n.react()
+	return tok
 }
 
 // TakeReadDone drains resolved reads.

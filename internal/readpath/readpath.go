@@ -7,7 +7,8 @@
 //     confirms it still leads with one heartbeat exchange. All reads
 //     registered between two broadcast rounds batch under a single
 //     read-batch ID (ReadCtx) that piggybacks on the round's AppendEntries
-//     messages; a quorum of responses echoing a ReadCtx at or above a
+//     messages (an event-driven leader sends a round as soon as reads
+//     wait and no read round is in flight; see ReadRoundDue); a quorum of responses echoing a ReadCtx at or above a
 //     batch's ID confirms every read in it at once — N concurrent reads
 //     cost one confirmation round, not N. A confirmed read is released to
 //     the caller once the commit index reaches its recorded index.
@@ -200,6 +201,24 @@ func (m *Manager) PendingReads() int {
 		n += len(b.reads)
 	}
 	return n
+}
+
+// ReadRoundDue reports whether reads wait for a round and none of the
+// stamped rounds carries reads: an event-driven leader then stamps a round
+// and sends it at once instead of waiting for the heartbeat. Reads that
+// register while a read round is in flight join the next one, which the
+// leader stamps when that round confirms, so concurrent reads still share
+// rounds.
+func (m *Manager) ReadRoundDue() bool {
+	if len(m.unstamped) == 0 {
+		return false
+	}
+	for _, b := range m.batches {
+		if len(b.reads) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // StampRound seals the pending reads into a new batch dispatched now and

@@ -207,3 +207,27 @@ func TestFailAll(t *testing.T) {
 		t.Fatal("reads still tracked after FailAll")
 	}
 }
+
+// TestReadRoundDueOnlyWithoutReadRoundInFlight: a registered read makes a
+// round due unless a stamped round already carries reads; lease-only
+// rounds do not hold it back, and a confirmation frees the next one.
+func TestReadRoundDueOnlyWithoutReadRoundInFlight(t *testing.T) {
+	m, _ := newTestManager(nil)
+	if m.ReadRoundDue() {
+		t.Fatal("round due with no reads")
+	}
+	m.StampRound(0) // a lease-only round in flight
+	m.Add(1, 10)
+	if !m.ReadRoundDue() {
+		t.Fatal("a lease-only round held a read back")
+	}
+	ctx := m.StampRound(0)
+	m.Add(2, 10)
+	if m.ReadRoundDue() {
+		t.Fatal("round due while a read round is in flight")
+	}
+	m.ObserveAck("n2", ctx, time.Millisecond)
+	if !m.ReadRoundDue() {
+		t.Fatal("round not due after the read round confirmed")
+	}
+}

@@ -22,8 +22,10 @@
 //     behavior of re-sending the full image every broadcast round.
 //
 // The Tracker owns the peer map and, since the dispatch hoist, the whole
-// append-round/heartbeat protocol: AppendMessages and HeartbeatMessage
-// build the AppendEntries traffic for a round, parameterized over a
+// append-round/heartbeat protocol: Broadcast runs a heartbeat round and
+// Push the event-driven dispatch between rounds. Both build their
+// AppendEntries traffic with the same append and heartbeat builders,
+// parameterized over a
 // LogView (last-index/term/entry-range accessors) so classic Raft's full
 // log and Fast Raft's leader-approved prefix share one implementation. It
 // answers the quorum questions commit evaluation asks and plans snapshot
@@ -138,9 +140,9 @@ type Config struct {
 	MaxInflight int
 	// MaxInflightBytes bounds the encoded entry bytes outstanding per peer
 	// in the replicate state (0 = DefaultMaxInflightBytes). Entries are
-	// sized at encode time (types.EntryWireSize); a message may exceed the
-	// remaining budget by at most one entry so a single oversized entry
-	// can always make progress.
+	// sized at encode time (types.EntryWireSize). Only a message sent into
+	// an empty window may exceed the budget, by its single first entry, so
+	// an entry larger than the whole budget still makes progress.
 	MaxInflightBytes int
 	// MaxEntries caps the entries carried by one AppendEntries message
 	// (0 = unlimited); a lagging follower then catches up over several
@@ -163,6 +165,15 @@ type Config struct {
 	// MaxResendTimeout clamps the adaptive resend timeout from above
 	// (cores pass the election timeout; 0 = no upper clamp).
 	MaxResendTimeout time.Duration
+	// Paced is the core's timing model (see fastraft.Config.Paced). A
+	// paced leader sends entries only at its heartbeat, so every round
+	// re-sends a probing peer its entries. An event-driven leader sends
+	// entries the moment a probe is answered (Push), so a probe whose
+	// predecessor is still unanswered carries none: the peer may be down,
+	// and a probe is not charged against the byte window, so re-shipping
+	// the suffix every heartbeat would cost up to a full window per round
+	// for nothing.
+	Paced bool
 }
 
 // inflightMsg records one outstanding append: the last log index it
@@ -195,6 +206,17 @@ type Progress struct {
 	// dropped) and the peer falls back to probing so the entries are
 	// retransmitted. 0 = not armed.
 	stallDeadline time.Duration
+
+	// commitSent is the highest index a message to the peer let it commit:
+	// the smaller of the message's LeaderCommit and its last carried index.
+	// Push sends a commit-only heartbeat only when it would raise this. A
+	// heartbeat that cannot move the peer's commit index is answered, and
+	// the answer would trigger the next one.
+	commitSent types.Index
+	// probeSent marks an append in flight to a probing peer. Push sends a
+	// probing peer one append per response, not one per event; any
+	// response from the peer clears it.
+	probeSent bool
 
 	// srtt/rttvar estimate the peer's acknowledgment round trip
 	// (Jacobson/Karels EWMA), fed by append acks and snapshot-chunk acks.
@@ -296,6 +318,7 @@ func (p *Progress) AckAppend(match types.Index, now time.Duration) bool {
 		}
 		p.finishSnapshot()
 	}
+	p.probeSent = false
 	advanced := match > p.match
 	if advanced {
 		p.match = match
@@ -362,6 +385,7 @@ func (p *Progress) RejectAppend(hintLast types.Index) {
 	}
 	p.next = next
 	p.state = StateProbe
+	p.probeSent = false
 	p.clearInflight()
 }
 
@@ -397,6 +421,7 @@ func (p *Progress) clearInflight() {
 
 func (p *Progress) finishSnapshot() {
 	p.state = StateProbe
+	p.probeSent = false
 	p.pendingSnapshot = 0
 	p.acked, p.cursor, p.maxSent = 0, 0, 0
 	p.deadline = 0
@@ -702,15 +727,36 @@ func (t *Tracker) AppendMessages(id types.NodeID, lv LogView, rc Round) (msgs []
 			return []types.AppendEntries{t.HeartbeatMessage(id, lv, rc)}, false
 		}
 	}
+	m, ok := t.appendMessage(pr, lv, rc)
+	if !ok {
+		// The window's remaining room is smaller than the next entry.
+		t.counters.Inc(CounterAppendsThrottled)
+		return []types.AppendEntries{t.HeartbeatMessage(id, lv, rc)}, false
+	}
+	return []types.AppendEntries{m}, false
+}
+
+// appendMessage builds the append anchored at the peer's Next, carrying
+// the entries up to the log's end that MaxEntries and the byte window
+// allow, and records it as sent. ok is false, and nothing is recorded,
+// when entries are due but the byte window has no room for the first one.
+func (t *Tracker) appendMessage(pr *Progress, lv LogView, rc Round) (types.AppendEntries, bool) {
 	next := pr.next
 	prev := next - 1
 	hi := lv.LastIndex()
+	if pr.state == StateProbe && pr.probeSent && !t.cfg.Paced {
+		hi = prev
+	}
 	if max := t.cfg.MaxEntries; max > 0 && hi >= next+types.Index(max) {
 		// Bound the payload; acks advance Next and the window lets the
 		// following chunks pipeline.
 		hi = next + types.Index(max) - 1
 	}
 	entries, size := t.budgetEntries(pr, lv, next, hi)
+	if len(entries) == 0 && hi >= next {
+		types.RecycleEntries(entries)
+		return types.AppendEntries{}, false
+	}
 	msg := types.AppendEntries{
 		Term:         rc.Term,
 		LeaderID:     rc.Leader,
@@ -722,7 +768,10 @@ func (t *Tracker) AppendMessages(id types.NodeID, lv LogView, rc Round) (msgs []
 		ReadCtx:      rc.ReadCtx,
 	}
 	pr.SentAppend(prev, len(entries), size, rc.Now)
-	return []types.AppendEntries{msg}, false
+	if pr.state == StateProbe {
+		pr.probeSent = true
+	}
+	return msg, true
 }
 
 // budgetEntries materializes the batch [lo, hi] up to the peer's
@@ -731,9 +780,10 @@ func (t *Tracker) AppendMessages(id types.NodeID, lv LogView, rc Round) (msgs []
 // the log in bounded slabs so a deeply lagging follower never causes the
 // whole remaining tail to be cloned just to keep one window's worth —
 // without this, catch-up would copy O(lag) entries per refill, O(lag²)
-// overall. The first entry is always kept so a single entry larger than
-// the whole budget still makes progress (over-committing the window by at
-// most one entry).
+// overall. Into an empty window the first entry is always kept, so a
+// single entry larger than the whole budget still makes progress; into a
+// partly filled one nothing that would overflow it is kept, which can
+// leave the batch empty.
 func (t *Tracker) budgetEntries(p *Progress, lv LogView, lo, hi types.Index) ([]types.Entry, int) {
 	// fetchSlab bounds how far a fetch may overshoot the budget: at most
 	// one slab of entries is cloned beyond what ships.
@@ -754,7 +804,7 @@ func (t *Tracker) budgetEntries(p *Progress, lv LogView, lo, hi types.Index) ([]
 		}
 		for _, e := range lv.Entries(lo, slabHi) {
 			n := types.EntryWireSize(e)
-			if len(out) > 0 && size+n > remaining {
+			if (len(out) > 0 || p.bytesInFlight > 0) && size+n > remaining {
 				t.counters.Inc(CounterBytesThrottled)
 				return out, size
 			}
@@ -782,6 +832,86 @@ func (t *Tracker) HeartbeatMessage(id types.NodeID, lv LogView, rc Round) types.
 		LeaderCommit: rc.Commit,
 		Round:        rc.Seq,
 		ReadCtx:      rc.ReadCtx,
+	}
+}
+
+// Outlet is how a dispatch hands its traffic to the core.
+type Outlet struct {
+	// Send transmits one message.
+	Send func(to types.NodeID, msg types.Message)
+	// Snapshot streams the snapshot to a peer whose entries are compacted
+	// away and reports whether anything was sent.
+	Snapshot func(to types.NodeID) bool
+	// Dispatched, when set, observes each append that carries entries
+	// (flight recorder and proposal spans).
+	Dispatched func(to types.NodeID, m types.AppendEntries)
+}
+
+// committable is the highest index m lets its receiver commit: its
+// LeaderCommit, bounded by the last index it vouches for.
+func committable(m types.AppendEntries) types.Index {
+	c := m.PrevLogIndex + types.Index(len(m.Entries))
+	if m.LeaderCommit < c {
+		c = m.LeaderCommit
+	}
+	return c
+}
+
+// send notes what m lets the peer commit and hands m to the outlet.
+func (t *Tracker) send(o Outlet, to types.NodeID, m types.AppendEntries) {
+	if len(m.Entries) > 0 && o.Dispatched != nil {
+		o.Dispatched(to, m)
+	}
+	if p := t.peers[to]; p != nil && committable(m) > p.commitSent {
+		p.commitSent = committable(m)
+	}
+	o.Send(to, m)
+}
+
+// Broadcast dispatches one heartbeat round to targets, in order: snapshot
+// chunks while a peer is behind the compacted prefix, entries while its
+// inflight window allows, a bare heartbeat otherwise (AppendMessages).
+// Every peer gets a message, so the round also serves as the leader's
+// liveness signal, lease renewal and retransmission point.
+func (t *Tracker) Broadcast(targets []types.NodeID, lv LogView, rc Round, o Outlet) {
+	for _, peer := range targets {
+		msgs, snapshot := t.AppendMessages(peer, lv, rc)
+		if snapshot {
+			// While the install is pending nothing is re-sent; the
+			// heartbeat keeps the peer responding.
+			if !o.Snapshot(peer) {
+				t.send(o, peer, t.HeartbeatMessage(peer, lv, rc))
+			}
+			continue
+		}
+		for _, m := range msgs {
+			t.send(o, peer, m)
+		}
+	}
+}
+
+// Push is the event-driven dispatch a leader runs after a vote, an ack, a
+// durability advance, a proposal or a read: each target gets only what the
+// event made sendable. That is its next entries while the windows allow
+// (one append per response to a probing peer), else a heartbeat if the
+// commit index moved past what the peer was last let commit, else nothing.
+// A round carrying a ReadCtx reaches every target, so a quorum can echo
+// it. Snapshot streams, stalled windows and lost messages are left to the
+// heartbeat round (Broadcast).
+func (t *Tracker) Push(targets []types.NodeID, lv LogView, rc Round, o Outlet) {
+	for _, peer := range targets {
+		pr := t.Ensure(peer, rc.NextHint)
+		if pr.state != StateSnapshot && pr.next > lv.SnapshotIndex() && pr.next <= lv.LastIndex() &&
+			pr.CanAppend() && !(pr.state == StateProbe && pr.probeSent) {
+			if m, ok := t.appendMessage(pr, lv, rc); ok {
+				t.send(o, peer, m)
+				continue
+			}
+		}
+		hb := t.HeartbeatMessage(peer, lv, rc)
+		if rc.ReadCtx != 0 || committable(hb) > pr.commitSent {
+			t.send(o, peer, hb)
+		}
 	}
 }
 

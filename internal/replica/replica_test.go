@@ -391,8 +391,8 @@ func denseEntries(n int, payload int) []types.Entry {
 
 // TestAppendMessagesByteBudget pins the byte window: a catch-up batch is
 // trimmed to the budget, the window refuses further appends until acks
-// free bytes, and BytesInFlight never exceeds the budget (modulo the
-// one-entry overshoot allowance, not exercised here).
+// free bytes, and BytesInFlight never exceeds the budget (only an entry
+// larger than the whole budget may, sent alone into an empty window).
 func TestAppendMessagesByteBudget(t *testing.T) {
 	entries := denseEntries(10, 100) // ~110 encoded bytes each
 	lv := testLogView(entries, 0)
@@ -614,5 +614,94 @@ func TestSeedSnapshotBeyondEncodingRestarts(t *testing.T) {
 	plan = tr.PlanSnapshot("b", 50, 40, 2*time.Millisecond)
 	if len(plan) == 0 || plan[0].Offset != 0 {
 		t.Fatalf("at-length continuation plan = %+v, want restart from offset 0", plan)
+	}
+}
+
+// collect is an Outlet that records every AppendEntries it is handed.
+func collect(sent *[]types.AppendEntries) Outlet {
+	return Outlet{
+		Send: func(_ types.NodeID, m types.Message) {
+			*sent = append(*sent, m.(types.AppendEntries))
+		},
+		Snapshot: func(types.NodeID) bool { return false },
+	}
+}
+
+// TestPushSendsOnlyWhatTheEventMadeSendable pins the event-driven
+// dispatch: new entries go out at once; a commit-only heartbeat goes out
+// only when it lets the peer commit more than before, so answering it
+// triggers nothing and the exchange cannot ping-pong; a read round
+// reaches the peer regardless.
+func TestPushSendsOnlyWhatTheEventMadeSendable(t *testing.T) {
+	entries := denseEntries(3, 10)
+	tr := NewTracker(Config{MaxInflight: 100}, nil)
+	tr.Reset([]types.NodeID{"a"}, 1)
+	tr.Get("a").AckAppend(0, 0) // replicate state
+	targets := []types.NodeID{"a"}
+	var sent []types.AppendEntries
+	o := collect(&sent)
+
+	tr.Push(targets, testLogView(entries[:2], 0), Round{Term: 1, Leader: "l", NextHint: 1}, o)
+	if len(sent) != 1 || len(sent[0].Entries) != 2 {
+		t.Fatalf("new entries push = %+v", sent)
+	}
+	// Nothing new, commit unchanged: nothing to send.
+	sent = nil
+	tr.Push(targets, testLogView(entries[:2], 0), Round{Term: 1, Leader: "l", NextHint: 1}, o)
+	if len(sent) != 0 {
+		t.Fatalf("idle push sent %+v", sent)
+	}
+	// Commit moved to 2 before the peer acked: a heartbeat anchored at its
+	// match (0) could not let it commit anything, so none goes out.
+	tr.Push(targets, testLogView(entries[:2], 0), Round{Term: 1, Leader: "l", Commit: 2, NextHint: 1}, o)
+	if len(sent) != 0 {
+		t.Fatalf("commit heartbeat before the ack = %+v", sent)
+	}
+	// The ack makes the commit deliverable: exactly one heartbeat, and
+	// pushing again (its echo) sends nothing.
+	tr.Get("a").AckAppend(2, time.Millisecond)
+	for i := 0; i < 2; i++ {
+		tr.Push(targets, testLogView(entries[:2], 0), Round{Term: 1, Leader: "l", Commit: 2, NextHint: 1}, o)
+	}
+	if len(sent) != 1 || len(sent[0].Entries) != 0 || sent[0].LeaderCommit != 2 || sent[0].PrevLogIndex != 2 {
+		t.Fatalf("commit heartbeats after the ack = %+v", sent)
+	}
+	// A read round reaches the peer even with nothing else to say.
+	sent = nil
+	tr.Push(targets, testLogView(entries[:2], 0), Round{Term: 1, Leader: "l", Commit: 2, NextHint: 1, ReadCtx: 7}, o)
+	if len(sent) != 1 || sent[0].ReadCtx != 7 {
+		t.Fatalf("read round push = %+v", sent)
+	}
+}
+
+// TestPushProbesOncePerResponse: a probing peer gets one append per
+// response, not one per event, and a heartbeat round that finds the probe
+// unanswered re-probes without entries (event-driven leaders) or with
+// them (paced leaders, which send entries only at their rounds).
+func TestPushProbesOncePerResponse(t *testing.T) {
+	entries := denseEntries(3, 10)
+	lv := testLogView(entries, 0)
+	for _, paced := range []bool{false, true} {
+		tr := NewTracker(Config{MaxInflight: 100, Paced: paced}, nil)
+		tr.Reset([]types.NodeID{"a"}, 1)
+		var sent []types.AppendEntries
+		o := collect(&sent)
+		rc := Round{Term: 1, Leader: "l", NextHint: 1}
+		tr.Push([]types.NodeID{"a"}, lv, rc, o)
+		tr.Push([]types.NodeID{"a"}, lv, rc, o)
+		if len(sent) != 1 || len(sent[0].Entries) != 3 {
+			t.Fatalf("paced=%v: probes before a response = %+v", paced, sent)
+		}
+		msgs, _ := tr.AppendMessages("a", lv, rc)
+		if want := map[bool]int{false: 0, true: 3}[paced]; len(msgs) != 1 || len(msgs[0].Entries) != want {
+			t.Fatalf("paced=%v: heartbeat re-probe = %+v, want %d entries", paced, msgs, want)
+		}
+		// A rejection answers the probe: the next event probes again.
+		tr.Get("a").RejectAppend(0)
+		sent = nil
+		tr.Push([]types.NodeID{"a"}, lv, rc, o)
+		if len(sent) != 1 || len(sent[0].Entries) != 3 {
+			t.Fatalf("paced=%v: probe after the rejection = %+v", paced, sent)
+		}
 	}
 }

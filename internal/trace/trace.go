@@ -128,7 +128,8 @@ const (
 	EvCompact
 	// EvFsyncBatch: one group-commit batch became durable. Arg = records
 	// in the batch, Arg2 = bytes written. Its distribution also feeds the
-	// hist.fsync_batch_size histogram.
+	// hist.fsync_batch_size histogram, and the batch's write+fsync time
+	// the hist.fsync_duration one.
 	EvFsyncBatch
 	// EvTraceHop: a sampled proposal/read/snapshot crossed a protocol hop
 	// on this node. Trace = the trace ID, Arg = the hop kind (HopKind),
@@ -598,10 +599,12 @@ type Recorder struct {
 	spanFIFO []types.ProposalID
 	hists    [numStages]*stats.TimingHist
 	total    *stats.TimingHist
-	// fsyncSize distributes group-commit batch sizes (records per fsync);
-	// applyLag distributes commit→apply hand-off delay through the
-	// runtime's apply pipeline.
+	// fsyncSize distributes group-commit batch sizes (records per fsync)
+	// and fsyncDur the time each batch's write and fsync took; applyLag
+	// distributes commit→apply hand-off delay through the runtime's apply
+	// pipeline.
 	fsyncSize *stats.SizeHist
+	fsyncDur  *stats.TimingHist
 	applyLag  *stats.TimingHist
 }
 
@@ -665,6 +668,7 @@ func (r *Recorder) initHists() {
 	}
 	r.total = stats.NewTimingHist("hist.stage_total", stats.DefaultLatencyBounds()...)
 	r.fsyncSize = stats.NewSizeHist("hist.fsync_batch_size", stats.DefaultSizeBounds()...)
+	r.fsyncDur = stats.NewTimingHist("hist.fsync_duration", stats.DefaultLatencyBounds()...)
 	r.applyLag = stats.NewTimingHist("hist.apply_lag", stats.DefaultLatencyBounds()...)
 }
 
@@ -857,6 +861,7 @@ func (r *Recorder) MergeMetrics(dst map[string]uint64, prefix string) {
 	}
 	if r.fsyncSize.Count() > 0 {
 		r.fsyncSize.MergeInto(dst, prefix)
+		r.fsyncDur.MergeInto(dst, prefix)
 	}
 	if r.applyLag.Count() > 0 {
 		r.applyLag.MergeInto(dst, prefix)
@@ -1102,16 +1107,18 @@ func (r *Recorder) Compact(now time.Duration, boundary types.Index, commit types
 }
 
 // FsyncBatch records one durable group-commit batch (records and bytes it
-// carried) and feeds the batch-size histogram. Unlike the span methods it
-// is called from the storage flush goroutine, so the histogram update
-// shares the ring lock.
-func (r *Recorder) FsyncBatch(now time.Duration, records, bytes int) {
+// carried, and how long its write and fsync took) and feeds the batch-size
+// and fsync-duration histograms. Unlike the span methods it is called from
+// the storage flush goroutine, so the histogram updates share the ring
+// lock.
+func (r *Recorder) FsyncBatch(now time.Duration, records, bytes int, took time.Duration) {
 	if r == nil {
 		return
 	}
 	r.r.mu.Lock()
 	defer r.r.mu.Unlock()
 	r.fsyncSize.Observe(uint64(records))
+	r.fsyncDur.Observe(took)
 	r.recordLocked(Event{At: now, Type: EvFsyncBatch, Arg: uint64(records), Arg2: uint64(bytes)})
 }
 

@@ -1,8 +1,10 @@
 package hraft
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -205,5 +207,50 @@ func TestMetricsHandlerPeerStatus(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestMetricsFsyncDurationAfterTracedWrite: on a traced node with a
+// group-commit WAL, every durable batch feeds hist.fsync_duration next to
+// hist.fsync_batch_size, so the WAL's fsync time shows in Metrics().
+func TestMetricsFsyncDurationAfterTracedWrite(t *testing.T) {
+	wal, err := OpenWALOptions(filepath.Join(t.TempDir(), "n1"), WALOptions{GroupCommit: true, SyncWindow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := NewInProcNetwork(1)
+	defer net.Close()
+	node, err := NewNode(Options{
+		ID:                 "n1",
+		Peers:              []NodeID{"n1"},
+		Transport:          net.Endpoint("n1"),
+		Storage:            wal,
+		HeartbeatInterval:  5 * time.Millisecond,
+		ElectionTimeoutMin: 20 * time.Millisecond,
+		ElectionTimeoutMax: 40 * time.Millisecond,
+		Trace:              &TraceOptions{},
+		Seed:               1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	defer node.Stop()
+	go func() {
+		for range node.Commits() {
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := node.Propose(ctx, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	m := node.Metrics()
+	batches, syncs := m["hist.fsync_batch_size.count"], m["hist.fsync_duration.count"]
+	if syncs == 0 || syncs != batches {
+		t.Fatalf("hist.fsync_duration.count = %d, hist.fsync_batch_size.count = %d; want equal and > 0", syncs, batches)
+	}
+	if _, ok := m["hist.fsync_duration.sum_us"]; !ok {
+		t.Fatal("hist.fsync_duration.sum_us missing")
 	}
 }

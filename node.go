@@ -216,7 +216,8 @@ func NewNode(opts Options) (*Node, error) {
 // wireDurability connects group-commit storage to a host: fsync
 // completions flow back through NotifyDurable so durability-gated machine
 // outputs release, and (when tracing) each durable batch feeds the
-// hist.fsync_batch_size histogram. A no-op for synchronous storage.
+// hist.fsync_batch_size and hist.fsync_duration histograms. A no-op for
+// synchronous storage.
 func wireDurability(host *runtime.Host, s Storage, rec *trace.Recorder) {
 	g := storage.AsGrouped(s)
 	if g == nil {
@@ -231,8 +232,8 @@ func wireDurability(host *runtime.Host, s Storage, rec *trace.Recorder) {
 	}
 	if fo, ok := s.(fsyncObservable); ok {
 		start := time.Now()
-		fo.SetFsyncObserver(func(records, bytes int, _ time.Duration) {
-			rec.FsyncBatch(time.Since(start), records, bytes)
+		fo.SetFsyncObserver(func(records, bytes int, took time.Duration) {
+			rec.FsyncBatch(time.Since(start), records, bytes, took)
 		})
 	}
 }
