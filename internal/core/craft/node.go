@@ -504,6 +504,14 @@ func (n *Node) syncGlobalLifecycle(now time.Duration) bool {
 	isLeader := n.local.Role() == types.RoleLeader
 	switch {
 	case isLeader && n.global == nil:
+		// Build the global member only from complete state. Until this
+		// leadership's first entry has committed and been replayed, deltas
+		// an earlier local leader committed, and may have externalized,
+		// can still be missing from the replay: the member would rejoin
+		// the global group having forgotten decisions it acknowledged.
+		if n.appliedLocal < n.local.TermStart() {
+			return false
+		}
 		n.startGlobal(now)
 		return true
 	case !isLeader && n.global != nil:

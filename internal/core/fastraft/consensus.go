@@ -231,15 +231,11 @@ func (n *Node) handleProposeLocally(m types.ProposeEntry) {
 		return
 	}
 	idx := m.Index
-	if n.role == types.RoleLeader && !n.cfg.Paced && n.cfg.Layer != types.LayerGlobal &&
-		idx <= n.log.LastLeaderIndex() {
+	if n.role == types.RoleLeader && !n.cfg.Paced && idx <= n.log.LastLeaderIndex() {
 		// The slot is already decided for another entry, so no vote can
 		// win it for this one. Sequence it on the classic track now, as
 		// decide does with losers, instead of leaving its proposer to
-		// wait out a proposal timeout. Not on C-Raft's global layer: there
-		// it let the clusters' replayed global logs diverge under leader
-		// churn (TestPropertyCRaftSafetyUnderChurn), for a reason not yet
-		// found, so global batches keep the timeout.
+		// wait out a proposal timeout.
 		if !n.proposalDecided(pid) {
 			n.appendLeaderEntry(m.Entry)
 			n.tally.NullProposal(m.Entry, 0)

@@ -458,6 +458,16 @@ func (n *Node) recordSelfDurable() {
 	})
 }
 
+// TermStart returns the index of this leadership's first entry, its no-op
+// (0 unless leading): once it has committed, every entry an earlier leader
+// committed has committed on this node too.
+func (n *Node) TermStart() types.Index {
+	if n.role != types.RoleLeader {
+		return 0
+	}
+	return n.readFloor
+}
+
 // HardState returns the node's persistent term and vote (C-Raft replicates
 // them in global state deltas).
 func (n *Node) HardState() (types.Term, types.NodeID) { return n.term, n.votedFor }
