@@ -442,7 +442,7 @@ func (n *Node) react() {
 	}
 	// After the stamp: a single-member group confirms its round at once.
 	n.reads.Flush(n.now)
-	n.progress.Push(n.appendTargets(), n.logView(), rc, n.outlet())
+	n.progress.Push(n.appendTargets(), n.lv, rc, n.out)
 }
 
 // leaderTick performs all periodic leader duties in the paper's order:
@@ -623,7 +623,7 @@ func (n *Node) broadcastAppend() {
 			n.responded[peer] = false
 		}
 	}
-	n.progress.Broadcast(targets, n.logView(), rc, n.outlet())
+	n.progress.Broadcast(targets, n.lv, rc, n.out)
 	n.lastBroadcastHead = n.log.LastLeaderIndex()
 }
 

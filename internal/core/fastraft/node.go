@@ -186,6 +186,10 @@ type Node struct {
 	// is a nil check). It records role/election/replication events and the
 	// per-proposal lifecycle spans behind the hist.stage_* histograms.
 	rec *trace.Recorder
+	// lv and out bind the shared replication dispatch to this node's log,
+	// transport and recorder; built once, they cost nothing per event.
+	lv  replica.LogView
+	out replica.Outlet
 	// installBoundary/installCheck identify the stream installStart was
 	// armed for, so a new stream arriving over a stale partial buffer
 	// restarts the clock instead of inheriting the dead stream's start.
@@ -280,6 +284,7 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 	n.reads = n.newReadFrontend()
+	n.lv, n.out = n.logView(), n.outlet()
 	n.resetElectionTimer()
 	return n, nil
 }

@@ -157,9 +157,14 @@ func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed i
 		DupProb:            0.05,
 		// Keep silent-leave detection from reconfiguring around the churn.
 		MemberTimeoutRounds: 100000,
-		// The seeded loss pattern that cuts the stream mid-offset, and the
-		// crash point it depends on, were laid out for leaders that act
-		// at their heartbeat tick.
+		// The scenario needs a stream the successor can continue: the
+		// crash must cut it mid-offset, and the successor must hold the
+		// crashed leader's snapshot. Paced sites compact at the same
+		// committed points. Event-driven ones commit, and so compact, at
+		// different moments: in the Fast Raft seed the successor's
+		// boundary is 60 against the old leader's 61, so its stream
+		// rightly restarts, and in the classic Raft seed the new leader
+		// never needs to send a chunk.
 		Paced: true,
 	})
 	if err != nil {

@@ -67,18 +67,24 @@ type Timeline struct {
 	events []Event
 	// lastLeader tracks the last recorded leader per (group, term) to
 	// avoid duplicates.
-	lastLeader map[string]types.NodeID
+	lastLeader map[leaderKey]types.NodeID
+}
+
+// leaderKey identifies one term of one log group.
+type leaderKey struct {
+	group string
+	term  types.Term
 }
 
 // NewTimeline returns an empty timeline.
 func NewTimeline() *Timeline {
-	return &Timeline{lastLeader: make(map[string]types.NodeID)}
+	return &Timeline{lastLeader: make(map[leaderKey]types.NodeID)}
 }
 
 // ObserveLeader records a leadership observation, ignoring repeats of the
 // same (group, term, node).
 func (tl *Timeline) ObserveLeader(at time.Duration, group string, term types.Term, node types.NodeID) {
-	key := fmt.Sprintf("%s/%d", group, term)
+	key := leaderKey{group, term}
 	if tl.lastLeader[key] == node {
 		return
 	}

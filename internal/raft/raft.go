@@ -256,6 +256,10 @@ type Node struct {
 	// rec is the protocol flight recorder (nil = disabled; every call is a
 	// nil-check no-op).
 	rec *trace.Recorder
+	// lv and out bind the shared replication dispatch to this node's log,
+	// transport and recorder; built once, they cost nothing per event.
+	lv  replica.LogView
+	out replica.Outlet
 
 	now time.Duration
 }
@@ -310,6 +314,7 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 	n.reads = n.newReadFrontend()
+	n.lv, n.out = n.logView(), n.outlet()
 	n.resetElectionTimer()
 	return n, nil
 }
@@ -902,7 +907,7 @@ func (n *Node) react() {
 	// After the stamp: a single-member group confirms its round at once.
 	n.reads.Flush(n.now)
 	n.flushNotifications()
-	n.progress.Push(n.log.ActiveConfig().Others(n.cfg.ID), n.logView(), rc, n.outlet())
+	n.progress.Push(n.log.ActiveConfig().Others(n.cfg.ID), n.lv, rc, n.out)
 }
 
 // leaderTick performs all periodic leader duties: commit evaluation,
@@ -1130,7 +1135,7 @@ func (n *Node) broadcastAppend() {
 		// acks echoing the ID confirms every read in it at once.
 		rc.ReadCtx = n.readMgr.StampRound(n.now)
 	}
-	n.progress.Broadcast(n.Config().Others(n.cfg.ID), n.logView(), rc, n.outlet())
+	n.progress.Broadcast(n.Config().Others(n.cfg.ID), n.lv, rc, n.out)
 }
 
 func (n *Node) onAppendEntries(from types.NodeID, m types.AppendEntries) {

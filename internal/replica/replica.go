@@ -752,10 +752,13 @@ func (t *Tracker) appendMessage(pr *Progress, lv LogView, rc Round) (types.Appen
 		// following chunks pipeline.
 		hi = next + types.Index(max) - 1
 	}
-	entries, size := t.budgetEntries(pr, lv, next, hi)
-	if len(entries) == 0 && hi >= next {
-		types.RecycleEntries(entries)
-		return types.AppendEntries{}, false
+	var entries []types.Entry
+	size := 0
+	if hi >= next {
+		if entries, size = t.budgetEntries(pr, lv, next, hi); len(entries) == 0 {
+			types.RecycleEntries(entries)
+			return types.AppendEntries{}, false
+		}
 	}
 	msg := types.AppendEntries{
 		Term:         rc.Term,
