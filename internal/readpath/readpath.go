@@ -8,9 +8,10 @@
 //     registered between two broadcast rounds batch under a single
 //     read-batch ID (ReadCtx) that piggybacks on the round's AppendEntries
 //     messages (an event-driven leader sends a round as soon as reads
-//     wait and no read round is in flight; see ReadRoundDue); a quorum of responses echoing a ReadCtx at or above a
-//     batch's ID confirms every read in it at once — N concurrent reads
-//     cost one confirmation round, not N. A confirmed read is released to
+//     wait and no read round is in flight; see ReadRoundDue); a quorum of
+//     responses echoing a ReadCtx at or above a batch's ID confirms every
+//     read in it at once — N concurrent reads cost one confirmation round
+//     (two when a read round is already in flight), not N. A confirmed read is released to
 //     the caller once the commit index reaches its recorded index.
 //
 //   - Lease: a confirmed round also extends a leader lease. While the
