@@ -892,7 +892,6 @@ func (n *Node) becomeLeader() {
 		ResendTimeout:    n.cfg.SnapshotResendTimeout,
 		MinResendTimeout: n.cfg.HeartbeatInterval,
 		MaxResendTimeout: n.cfg.ElectionTimeoutMin,
-		Paced:            n.cfg.Paced,
 	}, n.metrics)
 	// Paper: nextIndex initialized to the leader's last committed entry +1.
 	n.progress.Reset(cfg.Members, n.commitIndex+1)

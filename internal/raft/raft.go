@@ -818,7 +818,6 @@ func (n *Node) becomeLeader() {
 		ResendTimeout:    n.cfg.SnapshotResendTimeout,
 		MinResendTimeout: n.cfg.HeartbeatInterval,
 		MaxResendTimeout: n.cfg.ElectionTimeoutMin,
-		Paced:            n.cfg.Paced,
 	}, n.metrics)
 	n.progress.Reset(cfg.Members, n.log.LastIndex()+1)
 	n.recordSelfDurable()

@@ -165,15 +165,6 @@ type Config struct {
 	// MaxResendTimeout clamps the adaptive resend timeout from above
 	// (cores pass the election timeout; 0 = no upper clamp).
 	MaxResendTimeout time.Duration
-	// Paced is the core's timing model (see fastraft.Config.Paced). A
-	// paced leader sends entries only at its heartbeat, so every round
-	// re-sends a probing peer its entries. An event-driven leader sends
-	// entries the moment a probe is answered (Push), so a probe whose
-	// predecessor is still unanswered carries none: the peer may be down,
-	// and a probe is not charged against the byte window, so re-shipping
-	// the suffix every heartbeat would cost up to a full window per round
-	// for nothing.
-	Paced bool
 }
 
 // inflightMsg records one outstanding append: the last log index it
@@ -213,9 +204,14 @@ type Progress struct {
 	// heartbeat that cannot move the peer's commit index is answered, and
 	// the answer would trigger the next one.
 	commitSent types.Index
-	// probeSent marks an append in flight to a probing peer. Push sends a
-	// probing peer one append per response, not one per event; any
-	// response from the peer clears it.
+	// probeSent marks a probe Push sent that is still unanswered; any
+	// response from the peer clears it. Push sends a probing peer one
+	// append per response, not one per event, and while it is set a
+	// heartbeat round re-probes without entries: the peer may be down,
+	// and a probe is not charged against the byte window, so re-shipping
+	// the suffix every heartbeat would cost up to a full window per round
+	// for nothing. Only Push sets it, so a leader that dispatches only at
+	// its heartbeat (Paced) keeps re-probing with entries.
 	probeSent bool
 
 	// srtt/rttvar estimate the peer's acknowledgment round trip
@@ -744,7 +740,7 @@ func (t *Tracker) appendMessage(pr *Progress, lv LogView, rc Round) (types.Appen
 	next := pr.next
 	prev := next - 1
 	hi := lv.LastIndex()
-	if pr.state == StateProbe && pr.probeSent && !t.cfg.Paced {
+	if pr.state == StateProbe && pr.probeSent {
 		hi = prev
 	}
 	if max := t.cfg.MaxEntries; max > 0 && hi >= next+types.Index(max) {
@@ -771,9 +767,6 @@ func (t *Tracker) appendMessage(pr *Progress, lv LogView, rc Round) (types.Appen
 		ReadCtx:      rc.ReadCtx,
 	}
 	pr.SentAppend(prev, len(entries), size, rc.Now)
-	if pr.state == StateProbe {
-		pr.probeSent = true
-	}
 	return msg, true
 }
 
@@ -907,6 +900,9 @@ func (t *Tracker) Push(targets []types.NodeID, lv LogView, rc Round, o Outlet) {
 		if pr.state != StateSnapshot && pr.next > lv.SnapshotIndex() && pr.next <= lv.LastIndex() &&
 			pr.CanAppend() && !(pr.state == StateProbe && pr.probeSent) {
 			if m, ok := t.appendMessage(pr, lv, rc); ok {
+				if pr.state == StateProbe {
+					pr.probeSent = true
+				}
 				t.send(o, peer, m)
 				continue
 			}

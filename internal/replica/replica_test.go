@@ -681,27 +681,31 @@ func TestPushSendsOnlyWhatTheEventMadeSendable(t *testing.T) {
 func TestPushProbesOncePerResponse(t *testing.T) {
 	entries := denseEntries(3, 10)
 	lv := testLogView(entries, 0)
-	for _, paced := range []bool{false, true} {
-		tr := NewTracker(Config{MaxInflight: 100, Paced: paced}, nil)
-		tr.Reset([]types.NodeID{"a"}, 1)
-		var sent []types.AppendEntries
-		o := collect(&sent)
-		rc := Round{Term: 1, Leader: "l", NextHint: 1}
-		tr.Push([]types.NodeID{"a"}, lv, rc, o)
-		tr.Push([]types.NodeID{"a"}, lv, rc, o)
-		if len(sent) != 1 || len(sent[0].Entries) != 3 {
-			t.Fatalf("paced=%v: probes before a response = %+v", paced, sent)
+	tr := NewTracker(Config{MaxInflight: 100}, nil)
+	tr.Reset([]types.NodeID{"a"}, 1)
+	rc := Round{Term: 1, Leader: "l", NextHint: 1}
+	// Heartbeat rounds alone (a paced leader) re-probe with entries.
+	for i := 0; i < 2; i++ {
+		if msgs, _ := tr.AppendMessages("a", lv, rc); len(msgs) != 1 || len(msgs[0].Entries) != 3 {
+			t.Fatalf("heartbeat probe %d without a pushed probe = %+v, want 3 entries", i, msgs)
 		}
-		msgs, _ := tr.AppendMessages("a", lv, rc)
-		if want := map[bool]int{false: 0, true: 3}[paced]; len(msgs) != 1 || len(msgs[0].Entries) != want {
-			t.Fatalf("paced=%v: heartbeat re-probe = %+v, want %d entries", paced, msgs, want)
-		}
-		// A rejection answers the probe: the next event probes again.
-		tr.Get("a").RejectAppend(0)
-		sent = nil
-		tr.Push([]types.NodeID{"a"}, lv, rc, o)
-		if len(sent) != 1 || len(sent[0].Entries) != 3 {
-			t.Fatalf("paced=%v: probe after the rejection = %+v", paced, sent)
-		}
+	}
+	var sent []types.AppendEntries
+	o := collect(&sent)
+	tr.Push([]types.NodeID{"a"}, lv, rc, o)
+	tr.Push([]types.NodeID{"a"}, lv, rc, o)
+	if len(sent) != 1 || len(sent[0].Entries) != 3 {
+		t.Fatalf("probes before a response = %+v", sent)
+	}
+	// While the pushed probe is unanswered the heartbeat re-probes bare.
+	if msgs, _ := tr.AppendMessages("a", lv, rc); len(msgs) != 1 || len(msgs[0].Entries) != 0 {
+		t.Fatalf("heartbeat re-probe = %+v, want no entries", msgs)
+	}
+	// A rejection answers the probe: the next event probes again.
+	tr.Get("a").RejectAppend(0)
+	sent = nil
+	tr.Push([]types.NodeID{"a"}, lv, rc, o)
+	if len(sent) != 1 || len(sent[0].Entries) != 3 {
+		t.Fatalf("probe after the rejection = %+v", sent)
 	}
 }
