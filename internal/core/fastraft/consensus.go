@@ -239,6 +239,7 @@ func (n *Node) handleProposeLocally(m types.ProposeEntry) {
 		if !n.proposalDecided(pid) {
 			n.appendLeaderEntry(m.Entry)
 			n.tally.NullProposal(m.Entry, 0)
+			n.metrics.Inc("fastraft.burned_slots_sequenced")
 		}
 		return
 	}
@@ -361,6 +362,9 @@ func (n *Node) decideLoop(settled bool) {
 			continue
 		}
 		n.appendLeaderEntryAt(k, d.Winner)
+		if settled {
+			n.metrics.Inc("fastraft.decided_settled")
+		}
 		n.rec.SpanStage(n.now, d.Winner.PID, trace.StageQuorum, k)
 		n.tally.NullProposal(d.Winner, k)
 		for _, v := range d.WinnerVoters {
@@ -373,6 +377,7 @@ func (n *Node) decideLoop(settled bool) {
 			}
 			n.appendLeaderEntry(loser)
 			n.tally.NullProposal(loser, 0)
+			n.metrics.Inc("fastraft.losers_resequenced")
 		}
 		if !n.cfg.DisableFastTrack &&
 			k == n.commitIndex+1 &&

@@ -80,6 +80,9 @@ type Options struct {
 	// SnapshotThreshold enables snapshotting + log compaction once this
 	// many entries commit beyond the last snapshot (0 = disabled).
 	SnapshotThreshold int
+	// Snapshotter, when set, gives each node incarnation its application
+	// snapshotter (nil = none: snapshots carry no application data).
+	Snapshotter func(id types.NodeID) types.Snapshotter
 	// MaxEntriesPerAppend caps AppendEntries payloads (0 = unlimited).
 	MaxEntriesPerAppend int
 	// MaxInflightAppends bounds outstanding AppendEntries per follower
@@ -286,6 +289,10 @@ func (c *Cluster) addHost(id types.NodeID, bootstrap types.Config) (*Host, error
 
 func (c *Cluster) makeMachine(id types.NodeID, bootstrap types.Config, store storage.Storage, rec *trace.Recorder) (Machine, error) {
 	nodeRand := rand.New(rand.NewSource(c.rng.Int63()))
+	var snapshotter types.Snapshotter
+	if c.opts.Snapshotter != nil {
+		snapshotter = c.opts.Snapshotter(id)
+	}
 	switch c.opts.Kind {
 	case KindRaft:
 		return raft.New(raft.Config{
@@ -297,6 +304,7 @@ func (c *Cluster) makeMachine(id types.NodeID, bootstrap types.Config, store sto
 			ElectionTimeoutMax:  c.opts.ElectionTimeoutMax,
 			ProposalTimeout:     c.opts.ProposalTimeout,
 			SnapshotThreshold:   c.opts.SnapshotThreshold,
+			Snapshotter:         snapshotter,
 			MaxEntriesPerAppend: c.opts.MaxEntriesPerAppend,
 			MaxInflightAppends:  c.opts.MaxInflightAppends,
 			MaxInflightBytes:    c.opts.MaxInflightBytes,
@@ -317,6 +325,7 @@ func (c *Cluster) makeMachine(id types.NodeID, bootstrap types.Config, store sto
 			ProposalTimeout:          c.opts.ProposalTimeout,
 			MemberTimeoutRounds:      c.opts.MemberTimeoutRounds,
 			SnapshotThreshold:        c.opts.SnapshotThreshold,
+			Snapshotter:              snapshotter,
 			MaxEntriesPerAppend:      c.opts.MaxEntriesPerAppend,
 			MaxInflightAppends:       c.opts.MaxInflightAppends,
 			MaxInflightBytes:         c.opts.MaxInflightBytes,

@@ -88,6 +88,36 @@ func TestFastRaftCommitsProposals(t *testing.T) {
 	t.Logf("fast raft latency: %s", sum)
 }
 
+// TestProposerYieldsOnSameInstantCommits pins the closed loop's guard: an
+// event-driven one-member group commits without virtual time passing, so
+// a proposer with no think time must still let the clock advance, or a
+// run bounded by StopAfter would never end.
+func TestProposerYieldsOnSameInstantCommits(t *testing.T) {
+	c, err := NewCluster(Options{Kind: KindFastRaft, Nodes: ids("n1"), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.WaitForLeader(5 * time.Second); !ok {
+		t.Fatal("no leader")
+	}
+	const run = time.Second
+	start := c.Sched.Now()
+	p, err := c.StartProposer(ProposerOptions{Node: "n1", StopAfter: start + run, MaxProposals: 10 * int(run/sameInstantYield)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunUntil(func() bool { return false }, start+2*run)
+	if p.Completed == 0 {
+		t.Fatal("no proposal resolved")
+	}
+	if max := int(run/sameInstantYield) + 1; p.Completed > max {
+		t.Fatalf("%d proposals resolved in %s, want at most %d: the loop did not yield", p.Completed, run, max)
+	}
+	if v := p.Series.Values(); v[len(v)-1] != 0 {
+		t.Fatalf("last commit took %s; the scenario needs same-instant commits", v[len(v)-1])
+	}
+}
+
 // TestFastRaftFasterThanRaftAtZeroLoss is Figure 3's claim, which holds on
 // the paper's round model: the fast track saves a heartbeat round. With
 // event-driven leaders both protocols commit within a round trip or two,

@@ -250,16 +250,27 @@ func TestCraftToleratesDuplicationAndLoss(t *testing.T) {
 	if !c.WaitForLeaders(time.Minute) {
 		t.Fatal("no leaders")
 	}
-	end := c.Sched.Now() + 90*time.Second
+	start := c.Sched.Now()
+	end := start + 90*time.Second
+	// Event-driven local leaders commit within a round trip, so an
+	// unbounded closed loop would commit hundreds of times more than a
+	// paced one at the same simulation cost per entry. The proposers run
+	// in bursts of 50 with no think time instead, every 5 s, about what a
+	// proposer thinking for one heartbeat would resolve.
+	var proposers []*CraftProposer
 	for _, spec := range twoClusterSpecs() {
-		// A think time of one local heartbeat keeps the offered load near
-		// what a paced leader sustains; event-driven local leaders commit
-		// within a round trip, and a bare closed loop would multiply the
-		// run's work without adding fault coverage.
-		opts := ProposerOptions{Node: spec.Sites[0], StopAfter: end, ThinkTime: 100 * time.Millisecond}
-		if _, err := c.StartProposer(opts); err != nil {
+		p, err := c.StartProposer(ProposerOptions{Node: spec.Sites[0], StopAfter: end, MaxProposals: 50})
+		if err != nil {
 			t.Fatal(err)
 		}
+		proposers = append(proposers, p)
+	}
+	for at := start + 5*time.Second; at < end; at += 5 * time.Second {
+		c.Sched.At(at, func() {
+			for _, p := range proposers {
+				p.Extend(50)
+			}
+		})
 	}
 	c.RunUntil(func() bool { return false }, end+5*time.Second)
 	if err := c.Safety.Err(); err != nil {

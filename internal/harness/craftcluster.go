@@ -646,6 +646,9 @@ func (c *CraftCluster) GlobalItemsCommitted(lo, hi time.Duration) int {
 	return total
 }
 
+// CraftProposer is a closed-loop proposer over a C-Raft site.
+type CraftProposer struct{ closedLoop }
+
 // StartProposer attaches a closed-loop proposer to a site (local commits
 // gate the loop, as in the paper's throughput experiment).
 func (c *CraftCluster) StartProposer(opts ProposerOptions) (*CraftProposer, error) {
@@ -653,69 +656,16 @@ func (c *CraftCluster) StartProposer(opts ProposerOptions) (*CraftProposer, erro
 	if h == nil {
 		return nil, fmt.Errorf("harness: unknown proposer site %s", opts.Node)
 	}
-	if opts.PayloadSize == 0 {
-		opts.PayloadSize = 16
+	p := &CraftProposer{newClosedLoop(c.Sched, opts)}
+	p.submit = func(data []byte) (types.ProposalID, bool) {
+		pid, err := c.Propose(opts.Node, data)
+		return pid, err == nil
 	}
-	p := &CraftProposer{c: c, opts: opts, Series: &stats.Series{}}
-	h.OnResolve = func(_ types.ProposalID, at, latency time.Duration) {
-		p.Series.Add(at, latency)
-		p.Completed++
-		p.next()
+	p.pending = func(pid types.ProposalID) bool {
+		_, ok := h.proposeStart[pid]
+		return ok && h.alive
 	}
+	h.OnResolve = func(_ types.ProposalID, at, latency time.Duration) { p.resolved(at, latency) }
 	p.propose()
 	return p, nil
-}
-
-// CraftProposer is a closed-loop proposer over a C-Raft site.
-type CraftProposer struct {
-	c    *CraftCluster
-	opts ProposerOptions
-	// Series records (completion time, latency) per resolved proposal.
-	Series *stats.Series
-	// Completed counts resolved proposals.
-	Completed int
-	seq       int
-	stopped   bool
-}
-
-// Stop halts the proposer.
-func (p *CraftProposer) Stop() { p.stopped = true }
-
-func (p *CraftProposer) done() bool {
-	if p.stopped {
-		return true
-	}
-	if p.opts.MaxProposals > 0 && p.Completed >= p.opts.MaxProposals {
-		return true
-	}
-	if p.opts.StopAfter > 0 && p.c.Sched.Now() >= p.opts.StopAfter {
-		return true
-	}
-	return false
-}
-
-func (p *CraftProposer) next() {
-	if p.done() {
-		return
-	}
-	delay := p.opts.ThinkTime
-	p.c.Sched.After(delay, p.propose)
-}
-
-func (p *CraftProposer) propose() {
-	if p.done() {
-		return
-	}
-	h := p.c.hosts[p.opts.Node]
-	if h == nil || !h.alive {
-		return
-	}
-	p.seq++
-	payload := make([]byte, p.opts.PayloadSize)
-	for i := range payload {
-		payload[i] = byte(p.seq + i)
-	}
-	if _, err := p.c.Propose(p.opts.Node, payload); err != nil {
-		p.stopped = true
-	}
 }

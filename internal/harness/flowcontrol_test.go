@@ -140,13 +140,20 @@ func TestRaftByteBudgetBoundedOnWire(t *testing.T) {
 // follower already acknowledged — no chunk from the new leader may carry
 // an offset below the follower's position at the crash, and the
 // resumption counter must move.
-func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed int64) {
+//
+// Continuation needs the successor to hold the crashed leader's snapshot.
+// Paced sites compact at the same committed points. Event-driven ones
+// commit, and so compact, at different moments (in the Fast Raft seed a
+// threshold of 20 leaves the successor at boundary 60 and the old leader
+// at 61), so the event-driven run compacts once, at a fixed index, through
+// a snapshotter that reports the application applied exactly that far.
+func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed int64, paced bool) {
 	t.Helper()
 	const (
 		threshold = 20
 		chunkCap  = 4
 	)
-	c, err := NewCluster(Options{
+	opts := Options{
 		Kind:               kind,
 		Nodes:              fiveNodes(),
 		Seed:               seed,
@@ -157,16 +164,15 @@ func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed i
 		DupProb:            0.05,
 		// Keep silent-leave detection from reconfiguring around the churn.
 		MemberTimeoutRounds: 100000,
-		// The scenario needs a stream the successor can continue: the
-		// crash must cut it mid-offset, and the successor must hold the
-		// crashed leader's snapshot. Paced sites compact at the same
-		// committed points. Event-driven ones commit, and so compact, at
-		// different moments: in the Fast Raft seed the successor's
-		// boundary is 60 against the old leader's 61, so its stream
-		// rightly restarts, and in the classic Raft seed the new leader
-		// never needs to send a chunk.
-		Paced: true,
-	})
+		Paced:               paced,
+	}
+	if !paced {
+		opts.SnapshotThreshold = 3 * threshold
+		opts.Snapshotter = func(types.NodeID) types.Snapshotter {
+			return fixedPointSnapshotter(3 * threshold)
+		}
+	}
+	c, err := NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +195,7 @@ func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed i
 		if id == lagger || !h.Alive() {
 			continue
 		}
-		if b := minAliveBoundary(t, c, lagger); b != boundary {
+		if b := h.Machine().(interface{ SnapshotIndex() types.Index }).SnapshotIndex(); b != boundary {
 			t.Fatalf("node %s compacted at %d, others at %d; scenario broken", id, b, boundary)
 		}
 	}
@@ -280,12 +286,31 @@ func testSnapshotStreamResumesAcrossLeaderChange(t *testing.T, kind Kind, seed i
 }
 
 func TestFastRaftSnapshotStreamResumesAcrossLeaderChange(t *testing.T) {
-	testSnapshotStreamResumesAcrossLeaderChange(t, KindFastRaft, 7)
+	testSnapshotStreamResumesAcrossLeaderChange(t, KindFastRaft, 7, true)
 }
 
 func TestRaftSnapshotStreamResumesAcrossLeaderChange(t *testing.T) {
-	testSnapshotStreamResumesAcrossLeaderChange(t, KindRaft, 7)
+	testSnapshotStreamResumesAcrossLeaderChange(t, KindRaft, 7, true)
 }
+
+func TestFastRaftSnapshotStreamResumesAcrossLeaderChangeEventDriven(t *testing.T) {
+	testSnapshotStreamResumesAcrossLeaderChange(t, KindFastRaft, 7, false)
+}
+
+func TestRaftSnapshotStreamResumesAcrossLeaderChangeEventDriven(t *testing.T) {
+	testSnapshotStreamResumesAcrossLeaderChange(t, KindRaft, 7, false)
+}
+
+// fixedPointSnapshotter reports the application as applied exactly up to
+// its index, with no data. With SnapshotThreshold at the same index a node
+// compacts once, there, whenever its commit index crosses it.
+type fixedPointSnapshotter types.Index
+
+func (s fixedPointSnapshotter) Snapshot() ([]byte, types.Index, error) {
+	return nil, types.Index(s), nil
+}
+
+func (fixedPointSnapshotter) Restore(types.Snapshot) error { return nil }
 
 // TestAdaptiveResendTimeoutTracksLatency pins the EWMA retransmission
 // timer against injected simnet latency: on a fast network the per-peer

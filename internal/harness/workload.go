@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/hraft-io/hraft/internal/simnet"
 	"github.com/hraft-io/hraft/internal/stats"
 	"github.com/hraft-io/hraft/internal/types"
 )
@@ -15,7 +16,7 @@ type ProposerOptions struct {
 	// Node is the proposing site.
 	Node types.NodeID
 	// MaxProposals stops the proposer after this many resolutions
-	// (0 = unlimited).
+	// (0 = unlimited); Extend raises it.
 	MaxProposals int
 	// StopAfter stops the proposer once virtual time passes this instant
 	// (0 = never).
@@ -26,72 +27,75 @@ type ProposerOptions struct {
 	PayloadSize int
 }
 
-// Proposer is a running closed-loop proposer.
-type Proposer struct {
-	c    *Cluster
-	opts ProposerOptions
+// sameInstantYield is how long a proposer with no think time waits after a
+// proposal that resolved at the instant it was proposed. A one-member group
+// commits without virtual time passing, and proposing again at once would
+// run the loop at one instant forever.
+const sameInstantYield = time.Millisecond
+
+// closedLoop is the proposal loop shared by Proposer and CraftProposer.
+type closedLoop struct {
+	sched *simnet.Scheduler
+	opts  ProposerOptions
+	// submit proposes data at the proposing site; ok is false while the
+	// site is down.
+	submit func(data []byte) (pid types.ProposalID, ok bool)
+	// pending reports whether pid is still in flight at the site: false
+	// once it resolved or was lost with a crash.
+	pending func(pid types.ProposalID) bool
 	// Series records (completion time, latency) per resolved proposal.
 	Series *stats.Series
 	// Completed counts resolved proposals.
 	Completed int
 	seq       int
+	last      types.ProposalID
 	stopped   bool
 }
 
-// StartProposer attaches a closed-loop proposer to a node.
-func (c *Cluster) StartProposer(opts ProposerOptions) (*Proposer, error) {
-	h := c.hosts[opts.Node]
-	if h == nil {
-		return nil, fmt.Errorf("harness: unknown proposer node %s", opts.Node)
+// Stop halts the proposer after the current in-flight proposal.
+func (p *closedLoop) Stop() { p.stopped = true }
+
+// Extend raises MaxProposals by n and, unless a proposal is still in
+// flight, proposes at once. A proposer started with a small budget and
+// extended at chosen instants runs its closed loop in bursts; one whose
+// site crashed mid-proposal resumes with the next burst.
+func (p *closedLoop) Extend(n int) {
+	p.opts.MaxProposals += n
+	if !p.pending(p.last) {
+		p.propose()
 	}
-	if opts.PayloadSize == 0 {
-		opts.PayloadSize = 16
-	}
-	p := &Proposer{c: c, opts: opts, Series: &stats.Series{}}
-	h.OnResolve = func(_ types.ProposalID, at, latency time.Duration) {
-		p.Series.Add(at, latency)
-		p.Completed++
-		p.next()
-	}
-	p.propose()
-	return p, nil
 }
 
-// Stop halts the proposer after the current in-flight proposal.
-func (p *Proposer) Stop() { p.stopped = true }
-
-func (p *Proposer) done() bool {
+func (p *closedLoop) done() bool {
 	if p.stopped {
 		return true
 	}
 	if p.opts.MaxProposals > 0 && p.Completed >= p.opts.MaxProposals {
 		return true
 	}
-	if p.opts.StopAfter > 0 && p.c.Sched.Now() >= p.opts.StopAfter {
+	if p.opts.StopAfter > 0 && p.sched.Now() >= p.opts.StopAfter {
 		return true
 	}
 	return false
 }
 
-func (p *Proposer) next() {
+func (p *closedLoop) resolved(at, latency time.Duration) {
+	p.Series.Add(at, latency)
+	p.Completed++
 	if p.done() {
 		return
 	}
-	if p.opts.ThinkTime > 0 {
-		p.c.Sched.After(p.opts.ThinkTime, p.propose)
-		return
+	delay := p.opts.ThinkTime
+	if delay == 0 && latency == 0 {
+		delay = sameInstantYield
 	}
-	// Propose at the same virtual instant as the resolution; scheduling an
-	// immediate event keeps stack depth bounded.
-	p.c.Sched.After(0, p.propose)
+	// Even with no delay the next proposal is a scheduled event, which
+	// keeps stack depth bounded.
+	p.sched.After(delay, p.propose)
 }
 
-func (p *Proposer) propose() {
+func (p *closedLoop) propose() {
 	if p.done() {
-		return
-	}
-	h := p.c.hosts[p.opts.Node]
-	if h == nil || !h.alive {
 		return
 	}
 	p.seq++
@@ -99,10 +103,39 @@ func (p *Proposer) propose() {
 	for i := range payload {
 		payload[i] = byte(p.seq + i)
 	}
-	if _, err := p.c.Propose(p.opts.Node, payload); err != nil {
-		// Node stopped mid-run; the proposer simply ends.
-		p.stopped = true
+	if pid, ok := p.submit(payload); ok {
+		p.last = pid
 	}
+}
+
+// Proposer is a running closed-loop proposer.
+type Proposer struct{ closedLoop }
+
+// StartProposer attaches a closed-loop proposer to a node.
+func (c *Cluster) StartProposer(opts ProposerOptions) (*Proposer, error) {
+	h := c.hosts[opts.Node]
+	if h == nil {
+		return nil, fmt.Errorf("harness: unknown proposer node %s", opts.Node)
+	}
+	p := &Proposer{newClosedLoop(c.Sched, opts)}
+	p.submit = func(data []byte) (types.ProposalID, bool) {
+		pid, err := c.Propose(opts.Node, data)
+		return pid, err == nil
+	}
+	p.pending = func(pid types.ProposalID) bool {
+		_, ok := h.proposeStart[pid]
+		return ok && h.alive
+	}
+	h.OnResolve = func(_ types.ProposalID, at, latency time.Duration) { p.resolved(at, latency) }
+	p.propose()
+	return p, nil
+}
+
+func newClosedLoop(sched *simnet.Scheduler, opts ProposerOptions) closedLoop {
+	if opts.PayloadSize == 0 {
+		opts.PayloadSize = 16
+	}
+	return closedLoop{sched: sched, opts: opts, Series: &stats.Series{}}
 }
 
 // RunProposals drives a single closed-loop proposer on node until count
